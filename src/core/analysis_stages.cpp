@@ -232,17 +232,25 @@ ClusterOutput cluster(const linalg::Matrix& cluster_space,
   const std::size_t k_lo = config.min_clusters;
   const std::size_t k_hi = std::min(config.max_clusters, cluster_space.rows() - 1);
   const bool sweep = config.compute_quality_curve || !config.fixed_clusters;
+  // Sweep results worth keeping, by k - k_lo. Under auto-k the sweep's own
+  // solve of the chosen k is the clustering: kmeans gives the same result
+  // for every thread count, so re-solving it after the sweep would only
+  // repeat the work. On the exact-silhouette path every point's result is
+  // kept until the choice is made (they are small next to the n×n cache);
+  // otherwise only the fixed k's is.
+  std::vector<ml::KMeansResult> kept;
   if (sweep && k_hi >= k_lo) {
     // Every sweep point scores the SAME fixed point set, so the O(n²·dim)
     // pairwise distances are computed once and shared across all k. Sweep
-    // points are independent: each task owns its quality_curve slot, and at
-    // most one task (k == fixed_clusters) writes the kept clustering. The
-    // per-k kmeans runs inline in its task (nested pool use is forbidden).
+    // points are independent: each task owns its quality_curve slot and its
+    // slot of `kept`. The per-k kmeans runs inline in its task (nested pool
+    // use is forbidden).
     const ml::PairwiseDistances distances =
         exact_silhouette ? ml::pairwise_distances(cluster_space, pool)
                          : ml::PairwiseDistances();
     out.quality_curve.assign(k_hi - k_lo + 1, ClusterQualityPoint{});
-    ml::KMeansResult kept;
+    const bool keep_all = exact_silhouette && !config.fixed_clusters.has_value();
+    kept.resize(out.quality_curve.size());
     util::maybe_parallel_for(pool, out.quality_curve.size(), [&](std::size_t idx) {
       const std::size_t k = k_lo + idx;
       ml::KMeansResult kr = solve(k, nullptr);
@@ -257,11 +265,10 @@ ClusterOutput cluster(const linalg::Matrix& cluster_space,
             config.kmeans.seed);
         point.silhouette_estimated = true;
       }
-      if (config.fixed_clusters.has_value() && k == *config.fixed_clusters) {
-        kept = std::move(kr);
+      if (keep_all || (config.fixed_clusters.has_value() && k == *config.fixed_clusters)) {
+        kept[idx] = std::move(kr);
       }
     });
-    out.clustering = std::move(kept);
   }
 
   out.chosen_k = config.fixed_clusters.has_value()
@@ -269,6 +276,9 @@ ClusterOutput cluster(const linalg::Matrix& cluster_space,
                      : Analyzer::suggest_k(out.quality_curve);
   ensure(out.chosen_k >= config.min_clusters && out.chosen_k <= k_hi,
          "Analyzer::analyze: chosen cluster count is out of the sweep range");
+  if (out.chosen_k - k_lo < kept.size()) {
+    out.clustering = std::move(kept[out.chosen_k - k_lo]);
+  }
   if (out.clustering.assignment.empty()) {
     out.clustering = solve(out.chosen_k, pool);
   }

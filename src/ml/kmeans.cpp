@@ -1,9 +1,12 @@
 #include "ml/kmeans.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
+#include <string>
 
 #include "ml/detail/dense_kernels.hpp"
 #include "stats/rng.hpp"
@@ -15,6 +18,7 @@ namespace {
 
 using detail::dist2_raw;
 using detail::dist2_raw2;
+using detail::dist2_raw4;
 using linalg::Matrix;
 using linalg::squared_distance;
 
@@ -141,6 +145,18 @@ Matrix init_random(const Matrix& data, std::size_t k, stats::Rng& rng) {
   return centroids;
 }
 
+/// Throws FaultError naming the first non-finite cell of `m` (a `what`).
+void reject_non_finite(const Matrix& m, const char* what) {
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    for (std::size_t c = 0; c < m.cols(); ++c) {
+      if (!std::isfinite(m(r, c))) {
+        throw FaultError(std::string("kmeans: non-finite ") + what + " at row " +
+                         std::to_string(r) + ", column " + std::to_string(c));
+      }
+    }
+  }
+}
+
 struct LloydOutcome {
   Matrix centroids;
   std::vector<std::size_t> assignment;
@@ -151,70 +167,111 @@ struct LloydOutcome {
 };
 
 /// Conservative scaling for bounds kept in real-distance (sqrt) space: the
-/// 1e-12 relative slack dwarfs the ≤ ~1e-14 accumulated rounding error of a
-/// sqrt + a handful of adds, so "loosened" lower bounds stay true lower
-/// bounds and "inflated" upper bounds stay true upper bounds under FP.
+/// 1e-12 relative slack dwarfs the accumulated rounding error of a sqrt plus
+/// one decay subtraction per Lloyd iteration (~1e-16 relative each), so
+/// "loosened" lower bounds stay true lower bounds and "inflated" upper bounds
+/// stay true upper bounds under FP.
 double lower(double d) { return d * (1.0 - 1e-12); }
 double upper(double d) { return d * (1.0 + 1e-12); }
+
+/// Working set the per-centroid bounds may take: n·k doubles. Inputs that fit
+/// carry one lower bound per (point, centroid) pair (Elkan); larger ones —
+/// e.g. minibatch_kmeans' full-data refine — carry one lower bound per point
+/// (Hamerly), so memory stays O(n). The layout is a function of n·k alone and
+/// changes no output.
+constexpr std::size_t kPerCentroidBoundBytes = std::size_t{1} << 20;
+
+/// Everything a Lloyd run reuses across passes: the carried bounds, the
+/// per-pass centroid geometry and the update step's accumulators. Allocated
+/// once per run, not once per iteration.
+struct LloydScratch {
+  LloydScratch(std::size_t n, std::size_t k, std::size_t dim, bool prune)
+      : per_centroid(n * k <= kPerCentroidBoundBytes / sizeof(double)),
+        next(k, dim),
+        counts(k),
+        mass(k),
+        move_hi(k),
+        previous(n) {
+    if (!prune) return;
+    // -inf ("know nothing") makes the first pass compute like the naive scan.
+    bounds.assign(per_centroid ? n * k : n,
+                  -std::numeric_limits<double>::infinity());
+    cdist2 = Matrix(k, k);
+    cdist_lo = Matrix(k, k);
+    min_cd2.resize(k);
+    min_cd_lo.resize(k);
+  }
+
+  /// Real-distance lower bounds carried across passes, empty when not
+  /// pruning. Per-centroid layout (Elkan): entry i·k + c bounds d(x_i, c) and
+  /// decays by centroid c's own movement. O(n) layout (Hamerly): entry i
+  /// bounds d(x_i, c) for every c but the assigned centroid and decays by the
+  /// largest movement among those.
+  bool per_centroid;
+  std::vector<double> bounds;
+  Matrix cdist2;                  ///< centroid–centroid squared distances
+  Matrix cdist_lo;                ///< lower(sqrt(cdist2))
+  std::vector<double> min_cd2;    ///< per centroid: nearest other centroid
+  std::vector<double> min_cd_lo;  ///< lower(sqrt(min_cd2))
+  Matrix next;                    ///< update step: next centroids
+  std::vector<std::size_t> counts;
+  std::vector<double> mass;
+  std::vector<double> move_hi;    ///< upper(real move) per centroid
+  std::vector<std::size_t> previous;  ///< assignment before the current pass
+  /// Bound decay owed by the next pass: the last update moved centroids by
+  /// move_hi. biggest/decay1/decay2: the largest mover, its move_hi and the
+  /// runner-up's (the O(n) layout's decay).
+  bool decay_pending = false;
+  std::size_t biggest = 0;
+  double decay1 = 0.0;
+  double decay2 = 0.0;
+};
 
 /// Assigns every point to its nearest centroid, filling `assignment` and
 /// `dist2`, and returns the (weighted) SSE. The naive scan walks candidates
 /// in index order with a running strict-< best, so ties resolve to the
 /// lowest centroid index.
 ///
-/// The pruned scan produces the naive result bit for bit while skipping most
+/// The pruned pass produces the naive result bit for bit while skipping most
 /// distance evaluations; every skip is *strictly* proven (margins leave no
 /// room for an exact tie, so tie-breaking can never diverge):
-///  - the scan seeds `best` with the point's previous assignment (Lloyd
-///    moves centroids little per iteration, so the bound is tight at once);
-///  - `ub` (Hamerly) carries a per-point upper bound on the distance to the
-///    assigned centroid across iterations (inflated by that centroid's
-///    movement in run_lloyd): lb > ub proves the assignment unchanged
-///    without computing any distance at all. `dist2` then keeps its stale
-///    value; `stale` records that, and run_lloyd recomputes exact distances
-///    for stale points in the rare case it needs them (empty-cluster
-///    repair). The final pass runs with ub == nullptr, so every reported
-///    distance is exact. assignment[i] only changes in an exact scan, so
-///    the centroid sums — and every output — are unaffected by the skip;
-///  - `lb` (Hamerly) carries a per-point lower bound on the distance to
-///    every OTHER centroid across iterations (decayed by the largest
-///    centroid movement in run_lloyd): lb > d(x, seed) proves no candidate
-///    can win and the whole scan is skipped;
-///  - otherwise candidate c is skipped when the triangle inequality proves
-///    d(x, c) > best via centroid–centroid distances (see kPruneMargin);
-///    exact ties among computed candidates resolve toward the lower index —
-///    the same winner the naive scan picks. The triangle skips need
-///    best > 0 when the current best index sits above c: at best == 0 a
-///    duplicate centroid could tie rather than lose.
-/// dist2 stays exact in every path (the winning distance is always computed,
+///  - a first sweep computes every point's exact distance to its current
+///    centroid (the previous assignment, or the seeding hint), four points'
+///    FP chains interleaved (dist2_raw4). Lloyd moves centroids little per
+///    iteration, so this seed is usually the winner or close to it;
+///  - the carried bounds (see LloydScratch) first absorb the decay owed by
+///    the last centroid move. Per-centroid layout: candidate c is skipped
+///    when lo(x, c) > upper(d(x, seed)). O(n) layout: the whole scan is
+///    skipped when lb(x) > upper(d(x, seed)), or when even the seed's
+///    nearest other centroid is more than twice as far as the point (s(c));
+///  - a remaining candidate c is skipped when the triangle inequality proves
+///    d(x, c) > best via centroid–centroid distances (see kPruneMargin). The
+///    triangle skips need best > 0 when the current best index sits above
+///    c: at best == 0 a duplicate centroid could tie rather than lose.
+/// Surviving candidates are computed four at a time (dist2_raw4) and folded
+/// in as the lexicographic min of (distance, index) — the naive winner, no
+/// matter which candidates were skipped. A candidate is tested against the
+/// best known when it is queued, i.e. before its batch-mates are folded in;
+/// a staler best only makes a skip test more conservative. Every computed
+/// distance and every triangle skip refreshes the carried bounds.
+/// dist2 is exact in every path (the winning distance is always computed,
 /// never bounded). Points are independent, and the SSE is reduced serially
 /// in point order, so the result is also identical for every thread count.
 double assign_points(const Matrix& data, const Matrix& centroids,
                      const KMeansParams& params, util::ThreadPool* pool,
                      std::vector<std::size_t>& assignment,
-                     std::vector<double>& dist2, std::vector<double>* lb,
-                     std::vector<double>* ub = nullptr,
-                     std::vector<unsigned char>* stale = nullptr) {
+                     std::vector<double>& dist2, LloydScratch& scratch) {
   const std::size_t n = data.rows();
   const std::size_t k = centroids.rows();
   const std::size_t dim = data.cols();
-  const bool prune = params.prune && k > 1;
   const double* points = data.data().data();
   const double* cents = centroids.data().data();
-  Matrix cdist2;
-  Matrix cdist_lo;                 ///< lower(sqrt(cdist2)): real-distance bound
-  std::vector<double> min_cd2;     ///< per centroid: nearest other centroid
-  std::vector<double> min_cd_lo;   ///< lower(sqrt(min_cd2))
-  // Per centroid s: the other centroids ordered by ascending cdist2(s, ·).
-  // A point's scan walks its seed's list and stops at the first candidate
-  // the seed-anchored triangle test rejects — every later candidate is even
-  // farther from the seed, so the whole tail is rejected by the same proof.
-  std::vector<std::uint32_t> order;
-  if (prune) {
-    cdist2 = Matrix(k, k);
-    cdist_lo = Matrix(k, k);
-    min_cd2.assign(k, std::numeric_limits<double>::max());
-    min_cd_lo.assign(k, 0.0);
+  if (!scratch.bounds.empty()) {
+    Matrix& cdist2 = scratch.cdist2;
+    Matrix& cdist_lo = scratch.cdist_lo;
+    std::vector<double>& min_cd2 = scratch.min_cd2;
+    std::vector<double>& min_cd_lo = scratch.min_cd_lo;
+    std::fill(min_cd2.begin(), min_cd2.end(), std::numeric_limits<double>::max());
     for (std::size_t a = 0; a < k; ++a) {
       for (std::size_t b = a + 1; b < k; ++b) {
         const double d = dist2_raw(cents + a * dim, cents + b * dim, dim);
@@ -228,153 +285,130 @@ double assign_points(const Matrix& data, const Matrix& centroids,
       }
     }
     for (std::size_t c = 0; c < k; ++c) min_cd_lo[c] = lower(std::sqrt(min_cd2[c]));
-    order.resize(k * (k - 1));
-    for (std::size_t s = 0; s < k; ++s) {
-      std::uint32_t* row = order.data() + s * (k - 1);
-      std::size_t m = 0;
-      for (std::size_t c = 0; c < k; ++c) {
-        if (c != s) row[m++] = static_cast<std::uint32_t>(c);
+
+    util::maybe_parallel_for(pool, (n + 3) / 4, [&](std::size_t g) {
+      const std::size_t i0 = 4 * g;
+      if (i0 + 4 > n) {
+        for (std::size_t i = i0; i < n; ++i) {
+          dist2[i] = dist2_raw(points + i * dim, cents + assignment[i] * dim, dim);
+        }
+        return;
       }
-      const double* cd = &cdist2(s, 0);
-      std::sort(row, row + (k - 1), [cd](std::uint32_t a, std::uint32_t b) {
-        return cd[a] < cd[b] || (cd[a] == cd[b] && a < b);
-      });
-    }
-  }
-  if (prune) {
-    // Carried-bound (tier-0) check: proves the assignment unchanged without
-    // computing any distance. dist2[i] is then stale (see run_lloyd).
-    const auto bounds_skip = [&](std::size_t i) -> bool {
-      if (ub != nullptr && (*lb)[i] > (*ub)[i]) {
-        (*stale)[i] = 1;
-        (*lb)[i] = std::max((*lb)[i], min_cd_lo[assignment[i]] - (*ub)[i]);
-        return true;
+      const double* a[4] = {};
+      const double* b[4] = {};
+      for (std::size_t m = 0; m < 4; ++m) {
+        a[m] = points + (i0 + m) * dim;
+        b[m] = cents + assignment[i0 + m] * dim;
       }
-      return false;
-    };
-    // Everything after the seed distance `sd0` = d²(x, assignment[i]).
-    const auto finish = [&](std::size_t i, double sd0) {
+      dist2_raw4(a, b, dim, dist2.data() + i0);
+    });
+
+    const bool per_centroid = scratch.per_centroid;
+    const bool decay = scratch.decay_pending;
+    const double* move_hi = scratch.move_hi.data();
+    double* bounds = scratch.bounds.data();
+    scratch.decay_pending = false;
+    util::maybe_parallel_for(pool, n, [&](std::size_t i) {
       const double* point = points + i * dim;
-      const std::size_t seed = assignment[i];  // 0/hint on the first iteration
-      double best = sd0;
+      const std::size_t seed = assignment[i];
+      double best = dist2[i];
       std::size_t best_c = seed;
-      const double seed_ub = upper(std::sqrt(best));  ///< real-distance bound
-      if (ub != nullptr) {
-        (*ub)[i] = seed_ub;
-        (*stale)[i] = 0;
+      const double root = std::sqrt(best);
+      double best_ub = upper(root);  ///< tracks upper(sqrt(best))
+      double* lo = per_centroid ? bounds + i * k : nullptr;
+      if (!per_centroid) {
+        if (decay) bounds[i] -= seed == scratch.biggest ? scratch.decay2 : scratch.decay1;
+        if (bounds[i] > best_ub) {
+          // Every other centroid is strictly farther than the seed: keep it.
+          // s(c) can only tighten the carried bound.
+          bounds[i] = std::max(bounds[i], min_cd_lo[seed] - best_ub);
+          return;
+        }
+        if (min_cd2[seed] >= best * kPruneMargin && best > 0.0) {
+          // Even the NEAREST other centroid is strictly too far (s(c) test):
+          // for any c != seed, d(x, c) >= d(seed, c) - d(x, seed).
+          bounds[i] = min_cd_lo[seed] - best_ub;
+          return;
+        }
       }
-      if ((*lb)[i] > seed_ub) {
-        // Every other centroid is strictly farther than the seed: keep it.
-        // s(c) can only tighten the carried bound.
-        (*lb)[i] = std::max((*lb)[i], min_cd_lo[seed] - seed_ub);
-      } else if (min_cd2[seed] >= best * kPruneMargin && best > 0.0) {
-        // Even the NEAREST other centroid is strictly too far (s(c) test):
-        // for any c != seed, d(x, c) >= d(seed, c) - d(x, seed).
-        (*lb)[i] = min_cd_lo[seed] - seed_ub;
-      } else {
-        const double sd = best;  ///< d²(x, seed): the fixed anchor for breaks
-        const std::uint32_t* ord = order.data() + seed * (k - 1);
-        double second = std::numeric_limits<double>::max();  // exact, squared
-        double skipped_lo = std::numeric_limits<double>::max();  // real-distance
-        double best_ub = seed_ub;  ///< tracks upper(sqrt(best)) as best improves
-        // Walks the sorted candidate list from position m to the next
-        // candidate whose distance must be computed, or returns k when the
-        // list is exhausted / tail-rejected. Skips are strict-loss proofs:
-        //  - seed-anchored: d(x, c) >= d(seed, c) - d(x, seed) strictly
-        //    exceeds d(x, seed) >= the final best; the list is sorted by
-        //    cdist2(seed, ·), so the same proof rejects the whole remaining
-        //    tail. (Strict >, so at sd == 0 exact duplicates of the seed are
-        //    still visited and tie-break toward the lowest index exactly as
-        //    the naive scan does.)
-        //  - best-anchored triangle proof (kPruneMargin), which also yields
-        //    a lower bound for the carry-over:
-        //    d(x, c) >= d(best_c, c) - d(x, best_c).
-        auto next_compute = [&](std::size_t& m, bool& done) -> std::size_t {
-          while (m < k - 1) {
-            const std::size_t c = ord[m];
-            if (cdist2(seed, c) > sd * kPruneMargin) {
-              skipped_lo = std::min(skipped_lo, cdist_lo(seed, c) - seed_ub);
-              done = true;
-              return k;
-            }
-            ++m;
-            if (cdist2(best_c, c) >= best * kPruneMargin &&
-                (c > best_c || best > 0.0)) {
-              skipped_lo = std::min(skipped_lo, cdist_lo(best_c, c) - best_ub);
-              continue;
-            }
-            return c;
-          }
-          done = true;
-          return k;
-        };
-        // Folds a computed distance in. Computed candidates are applied in
-        // list order; best/best_c track the lexicographic min of (d, c), so
-        // the winner — and the tie-break toward the lowest index — matches
-        // the naive ascending scan no matter which candidates were skipped.
-        const auto apply = [&](double d, std::size_t c) {
-          if (d < best || (d == best && c < best_c)) {
-            second = std::min(second, best);
-            best = d;
-            best_c = c;
-            best_ub = upper(std::sqrt(best));
-          } else {
-            second = std::min(second, d);
-          }
-        };
-        // Candidates are computed in pairs (dist2_raw2) so their FP chains
-        // overlap. The partner is selected before the first distance is
-        // folded in, i.e. with a slightly staler `best` — that only makes
-        // the skip tests more conservative (compute instead of skip), and a
-        // computed distance can only tighten `second`; the outputs are
-        // unchanged.
-        std::size_t m = 0;
-        bool done = false;
-        while (!done) {
-          const std::size_t c0 = next_compute(m, done);
-          if (c0 == k) break;
-          const std::size_t c1 = next_compute(m, done);
-          if (c1 == k) {
-            apply(dist2_raw(point, cents + c0 * dim, dim), c0);
-            break;
-          }
+      double second = std::numeric_limits<double>::max();      // exact, squared
+      double skipped_lo = std::numeric_limits<double>::max();  // real-distance
+      const auto apply = [&](double d, std::size_t c) {
+        if (per_centroid) lo[c] = lower(std::sqrt(d));
+        if (d < best || (d == best && c < best_c)) {
+          second = std::min(second, best);
+          best = d;
+          best_c = c;
+          best_ub = upper(std::sqrt(best));
+        } else {
+          second = std::min(second, d);
+        }
+      };
+      std::size_t queued[4] = {};
+      std::size_t count = 0;
+      const auto compute_queued = [&] {
+        const double* c0 = cents + queued[0] * dim;
+        if (count >= 3) {
+          if (count == 3) queued[3] = queued[2];  // computed, not folded in
+          const double* a[4] = {point, point, point, point};
+          const double* b[4] = {c0, cents + queued[1] * dim,
+                                cents + queued[2] * dim, cents + queued[3] * dim};
+          double d[4];
+          dist2_raw4(a, b, dim, d);
+          for (std::size_t m = 0; m < count; ++m) apply(d[m], queued[m]);
+        } else if (count == 2) {
           double d0;
           double d1;
-          dist2_raw2(point, cents + c0 * dim, point, cents + c1 * dim, dim,
-                     d0, d1);
-          apply(d0, c0);
-          apply(d1, c1);
+          dist2_raw2(point, c0, point, cents + queued[1] * dim, dim, d0, d1);
+          apply(d0, queued[0]);
+          apply(d1, queued[1]);
+        } else if (count == 1) {
+          apply(dist2_raw(point, c0, dim), queued[0]);
         }
-        (*lb)[i] = std::min(lower(std::sqrt(second)), skipped_lo);
-        if (ub != nullptr) (*ub)[i] = best_ub;
+        count = 0;
+      };
+      // Candidates in blocks of 64. A branch-free sweep lists the ones whose
+      // carried bound does not already prove them farther than the seed
+      // (as offsets from `base`), applying the owed decay on the way; only
+      // listed ones are visited.
+      for (std::size_t base = 0; base < k; base += 64) {
+        const std::size_t width = std::min<std::size_t>(64, k - base);
+        std::uint8_t listed[64] = {};
+        std::size_t live = 0;
+        for (std::size_t m = 0; m < width; ++m) {
+          double v = per_centroid ? lo[base + m] : -std::numeric_limits<double>::infinity();
+          if (per_centroid && decay) {
+            v -= move_hi[base + m];
+            lo[base + m] = v;
+          }
+          listed[live] = static_cast<std::uint8_t>(m);
+          live += static_cast<std::size_t>((v <= best_ub) & (base + m != seed));
+        }
+        for (std::size_t j = 0; j < live; ++j) {
+          const std::size_t c = base + listed[j];
+          if (per_centroid && lo[c] > best_ub) continue;  // best improved since
+          if (cdist2(best_c, c) >= best * kPruneMargin && (c > best_c || best > 0.0)) {
+            // d(x, c) >= d(best_c, c) - d(x, best_c): a lower bound to carry.
+            const double tri = cdist_lo(best_c, c) - best_ub;
+            if (per_centroid) {
+              lo[c] = std::max(lo[c], tri);
+            } else {
+              skipped_lo = std::min(skipped_lo, tri);
+            }
+            continue;
+          }
+          queued[count++] = c;
+          if (count == 4) compute_queued();
+        }
+      }
+      compute_queued();
+      if (per_centroid) {
+        lo[seed] = lower(root);  // the sweep above only decayed it
+      } else {
+        bounds[i] = std::min(lower(std::sqrt(second)), skipped_lo);
       }
       assignment[i] = best_c;
       dist2[i] = best;
-    };
-    // Points are processed in adjacent pairs so the two seed-distance FP
-    // chains overlap (dist2_raw2). Points stay fully independent — the
-    // pairing, like the thread-pool chunking, changes no value.
-    const std::size_t pairs = (n + 1) / 2;
-    util::maybe_parallel_for(pool, pairs, [&](std::size_t p) {
-      const std::size_t i0 = 2 * p;
-      const std::size_t i1 = i0 + 1;
-      const bool need0 = !bounds_skip(i0);
-      const bool need1 = i1 < n && !bounds_skip(i1);
-      if (need0 && need1) {
-        double s0;
-        double s1;
-        dist2_raw2(points + i0 * dim, cents + assignment[i0] * dim,
-                   points + i1 * dim, cents + assignment[i1] * dim, dim, s0,
-                   s1);
-        finish(i0, s0);
-        finish(i1, s1);
-      } else if (need0) {
-        finish(i0,
-               dist2_raw(points + i0 * dim, cents + assignment[i0] * dim, dim));
-      } else if (need1) {
-        finish(i1,
-               dist2_raw(points + i1 * dim, cents + assignment[i1] * dim, dim));
-      }
     });
   } else {
     util::maybe_parallel_for(pool, n, [&](std::size_t i) {
@@ -420,37 +454,37 @@ LloydOutcome run_lloyd(const Matrix& data, Matrix centroids,
     out.assignment.assign(n, 0);
   }
   out.dist2.assign(n, 0.0);
-  std::vector<std::size_t> previous;  ///< assignment before the current pass
-  bool repaired = false;              ///< did the last update re-seed a centroid?
-  // Hamerly bounds (see assign_points); lb = -inf ("know nothing") makes the
-  // first pass compute like the naive scan. stale[i] marks a dist2 entry the
-  // carried bounds let a pass skip; such entries are recomputed on demand
-  // below before the repair step reads them.
-  std::vector<double> lb(n, -std::numeric_limits<double>::infinity());
-  std::vector<double> ub(n, 0.0);
-  std::vector<unsigned char> stale(n, 0);
+  LloydScratch scratch(n, k, dim, params.prune && k > 1);
+  Matrix& next = scratch.next;
+  std::vector<std::size_t>& counts = scratch.counts;
+  std::vector<double>& mass = scratch.mass;
+  std::vector<double>& move_hi = scratch.move_hi;
+  bool repaired = false;  ///< did the last update re-seed a centroid?
+  bool final_pass_done = false;  ///< `out` already holds the final centroids' pass
 
   for (int iter = 0; iter < params.max_iterations; ++iter) {
-    previous = out.assignment;
+    std::copy(out.assignment.begin(), out.assignment.end(), scratch.previous.begin());
     out.sse = assign_points(data, centroids, params, pool, out.assignment,
-                            out.dist2, &lb, &ub, &stale);
+                            out.dist2, scratch);
 
     // Membership unchanged and the current centroids are plain means of that
     // membership (iter > 0, no repair): recomputing the update would rebuild
-    // the exact same sums, so movement is exactly 0 — converged. (A repaired
-    // centroid is not a mean, so its re-repair could pick a different point.)
+    // the exact same sums, so movement is exactly 0 — converged. The pass
+    // just made is then also the final pass. (A repaired centroid is not a
+    // mean, so its re-repair could pick a different point.)
     if (iter > 0 && !repaired && params.tolerance >= 0.0 &&
-        out.assignment == previous) {
+        out.assignment == scratch.previous) {
       out.iterations = iter + 1;
       out.converged = true;
+      final_pass_done = true;
       break;
     }
 
     // Update step (weighted means when point weights are given; the
     // unweighted loop skips the ×1.0, which changes no bit).
-    Matrix next(k, dim);
-    std::vector<std::size_t> counts(k, 0);
-    std::vector<double> mass(k, 0.0);
+    std::fill_n(&next(0, 0), k * dim, 0.0);
+    std::fill(counts.begin(), counts.end(), 0);
+    std::fill(mass.begin(), mass.end(), 0.0);
     const double* points = data.data().data();
     if (params.weights.empty()) {
       for (std::size_t i = 0; i < n; ++i) {
@@ -474,21 +508,6 @@ LloydOutcome run_lloyd(const Matrix& data, Matrix centroids,
 
     // Repair empty clusters: move their centroid to the point currently
     // farthest from its assigned centroid (splits the worst-fit region).
-    // The argmax must see the exact distances the naive pass would have
-    // produced, so stale (bound-skipped) entries are recomputed first.
-    bool any_empty = false;
-    for (std::size_t c = 0; c < k; ++c) {
-      if (counts[c] == 0 || !(mass[c] > 0.0)) any_empty = true;
-    }
-    if (any_empty) {
-      const double* cents = centroids.data().data();
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!stale[i]) continue;
-        out.dist2[i] =
-            dist2_raw(points + i * dim, cents + out.assignment[i] * dim, dim);
-        stale[i] = 0;
-      }
-    }
     repaired = false;
     for (std::size_t c = 0; c < k; ++c) {
       if (counts[c] > 0 && mass[c] > 0.0) {
@@ -512,40 +531,35 @@ LloydOutcome run_lloyd(const Matrix& data, Matrix centroids,
     // Convergence: total squared centroid movement.
     double movement = 0.0;
     double max_move2 = 0.0;
-    std::vector<double> move_hi(k, 0.0);  ///< upper(real move) per centroid
     for (std::size_t c = 0; c < k; ++c) {
       const double m2 = squared_distance(next.row(c), centroids.row(c));
       movement += m2;
       max_move2 = std::max(max_move2, m2);
       move_hi[c] = m2 > 0.0 ? upper(std::sqrt(m2)) : 0.0;
     }
-    // Centroids moved: every upper bound grows by its own centroid's
-    // movement and every lower bound decays by the largest movement among
-    // the OTHER centroids — lb only bounds distances to centroids the point
-    // is not assigned to, so a point assigned to the biggest mover decays by
-    // the runner-up instead (Hamerly's refinement). Inflating the
-    // adjustments (move_hi is upper(real move)) keeps the bounds
-    // conservative under FP.
-    if (max_move2 > 0.0) {
-      std::size_t biggest = 0;
-      double decay1 = 0.0;  ///< largest move_hi
-      double decay2 = 0.0;  ///< second-largest move_hi
+    // Centroids moved: every lower bound decays by how far the centroids it
+    // covers may have come closer. The next pass applies the decay to each
+    // point as it visits it. In the O(n) layout one bound covers every
+    // centroid but the assigned one, so it decays by the largest movement
+    // among those — a point assigned to the biggest mover decays by the
+    // runner-up (Hamerly's refinement). Inflating the adjustments (move_hi
+    // is upper(real move)) keeps the bounds conservative under FP.
+    if (max_move2 > 0.0 && !scratch.bounds.empty()) {
+      scratch.decay_pending = true;
+      scratch.biggest = 0;
+      scratch.decay1 = 0.0;
+      scratch.decay2 = 0.0;
       for (std::size_t c = 0; c < k; ++c) {
-        if (move_hi[c] > decay1) {
-          decay2 = decay1;
-          decay1 = move_hi[c];
-          biggest = c;
+        if (move_hi[c] > scratch.decay1) {
+          scratch.decay2 = scratch.decay1;
+          scratch.decay1 = move_hi[c];
+          scratch.biggest = c;
         } else {
-          decay2 = std::max(decay2, move_hi[c]);
+          scratch.decay2 = std::max(scratch.decay2, move_hi[c]);
         }
       }
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t c = out.assignment[i];
-        lb[i] -= c == biggest ? decay2 : decay1;
-        ub[i] += move_hi[c];
-      }
     }
-    centroids = std::move(next);
+    std::swap(centroids, next);
     out.iterations = iter + 1;
     if (movement <= params.tolerance) {
       out.converged = true;
@@ -554,8 +568,10 @@ LloydOutcome run_lloyd(const Matrix& data, Matrix centroids,
   }
 
   // Final assignment against the final centroids (keeps sse consistent).
-  out.sse =
-      assign_points(data, centroids, params, pool, out.assignment, out.dist2, &lb);
+  if (!final_pass_done) {
+    out.sse = assign_points(data, centroids, params, pool, out.assignment,
+                            out.dist2, scratch);
+  }
   out.centroids = std::move(centroids);
   return out;
 }
@@ -616,12 +632,19 @@ KMeansResult kmeans(const linalg::Matrix& data, const KMeansParams& params,
   ensure(params.restarts > 0, "kmeans: restarts must be positive");
   ensure(params.weights.empty() || params.weights.size() == data.rows(),
          "kmeans: weights must be empty or match the point count");
-  for (const double w : params.weights) {
-    ensure(w >= 0.0, "kmeans: weights must be non-negative");
+  // Non-finite input would turn centroids into NaN and void every pruning
+  // bound; reject it up front, positioned.
+  for (std::size_t i = 0; i < params.weights.size(); ++i) {
+    if (!std::isfinite(params.weights[i])) {
+      throw FaultError("kmeans: non-finite weight at row " + std::to_string(i));
+    }
+    ensure(params.weights[i] >= 0.0, "kmeans: weights must be non-negative");
   }
+  reject_non_finite(data, "value");
   const bool warm = params.initial_centroids.rows() == params.k;
   ensure(!warm || params.initial_centroids.cols() == data.cols(),
          "kmeans: initial_centroids dimension mismatch");
+  if (warm) reject_non_finite(params.initial_centroids, "initial centroid");
 
   // Degrade to serial instead of deadlocking when a caller forwards the pool
   // from inside one of its own tasks (e.g. a per-k sweep worker).

@@ -2,10 +2,11 @@
 // restarts. The paper groups 895 whitened scenario vectors into 18 clusters
 // and takes the member nearest each centroid as the representative scenario.
 //
-// The assignment step prunes with the triangle inequality (Elkan/Hamerly
-// style): centroid c cannot beat the best centroid found so far for a point
-// when the centroid–centroid distance already proves it, so most of the k
-// distance evaluations per point are skipped. Pruning only ever skips
+// The assignment step prunes with lower bounds carried across Lloyd passes
+// and the triangle inequality: one bound per (point, centroid) pair (Elkan)
+// while n·k doubles fit a 1 MiB working set, one per point (Hamerly) beyond
+// it, and centroid–centroid distance tests, so most of the k distance
+// evaluations per point are skipped. Pruning only ever skips
 // provably-losing candidates, so the output is bit-identical to the naive
 // scan (`KMeansParams::prune` toggles it for verification/benchmarks).
 #pragma once
@@ -74,8 +75,10 @@ struct KMeansResult {
 };
 
 /// Runs Lloyd's algorithm. Throws std::invalid_argument when k is zero or
-/// exceeds the number of rows. Empty clusters are repaired by re-seeding the
-/// centroid at the point farthest from its assigned centroid.
+/// exceeds the number of rows, and FaultError (naming the row and column)
+/// on a non-finite data cell, weight or warm-start centroid. Empty clusters
+/// are repaired by re-seeding the centroid at the point farthest from its
+/// assigned centroid.
 ///
 /// With a `pool`, restarts run concurrently (each restart forks its own
 /// deterministic RNG stream, so the winner is thread-count-independent);

@@ -116,7 +116,9 @@ KMeansResult minibatch_kmeans(const linalg::Matrix& data,
   coreset_solve.initial_centroids = linalg::Matrix();  // coreset seeds itself
   const KMeansResult sketch = kmeans(coreset.points, coreset_solve, pool);
 
-  // Full-data refinement through the Elkan/Hamerly solver: warm-start from
+  // Full-data refinement through the exact solver (its pruning bounds drop
+  // to one per point once n·k outgrows their 1 MiB budget, so memory stays
+  // O(n) at any scale): warm-start from
   // the coreset centroids, few iterations, single restart (a fresh k-means++
   // restart here would cost exactly the full-data solve we are avoiding).
   KMeansParams refine = params.kmeans;

@@ -1,6 +1,6 @@
 // Sublinear K-means for the million-scenario regime (DESIGN.md §12).
 //
-// The exact Elkan/Hamerly solver (ml/kmeans.hpp) is O(n·k·d) per Lloyd
+// The exact solver (ml/kmeans.hpp) is O(n·k·d) per Lloyd
 // iteration times restarts — linear passes over all n rows that the Fig. 9
 // k-sweep repeats for every candidate k. At n ≈ 10^5–10^6 that dominates the
 // pipeline. The sublinear path decouples the sweep cost from n:
@@ -12,9 +12,9 @@
 //      weighted SSE objective for ANY candidate centroid set.
 //   2. Run the existing exact weighted solver on the m-point coreset
 //      (restarts, k-means++, pruning — all inherited), m ≪ n.
-//   3. *Refinement*: a few full-data Lloyd iterations via the same
-//      Elkan/Hamerly solver, warm-started from the coreset centroids, so the
-//      final centroids/assignment are anchored to the real population.
+//   3. *Refinement*: a few full-data Lloyd iterations via the same exact
+//      solver, warm-started from the coreset centroids, so the final
+//      centroids/assignment are anchored to the real population.
 //
 // Total cost ~O(n·d · refine_iters + m²-ish solver work) instead of
 // O(n·k·d · iters · restarts) per sweep point. Everything is seeded and

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <string_view>
 
@@ -128,6 +129,35 @@ TEST(AnalyzerSweep, QualityCurveHasMonotoneSse) {
     EXPECT_GE(result.quality_curve[i].silhouette, -1.0);
     EXPECT_LE(result.quality_curve[i].silhouette, 1.0);
   }
+}
+
+// Under auto-k the clustering is the sweep's own solve of the chosen k; it
+// must equal a fresh fit at that k bit for bit, for any thread count.
+TEST(AnalyzerSweep, AutoKClusteringMatchesAFixedKFit) {
+  AnalyzerConfig config = testing::small_flare_config().analyzer;
+  config.fixed_clusters = std::nullopt;
+  config.compute_quality_curve = true;
+  config.max_clusters = 10;
+  config.threads = 2;
+  const metrics::MetricDatabase& db = testing::fitted_pipeline().database();
+  const AnalysisResult automatic = Analyzer(config).analyze(db);
+
+  config.fixed_clusters = automatic.chosen_k;
+  config.compute_quality_curve = false;
+  config.threads = 1;
+  const AnalysisResult fixed = Analyzer(config).analyze(db);
+
+  const ml::KMeansResult& a = automatic.clustering;
+  const ml::KMeansResult& b = fixed.clustering;
+  EXPECT_EQ(a.centroids, b.centroids);
+  EXPECT_EQ(a.assignment, b.assignment);
+  EXPECT_EQ(a.cluster_sizes, b.cluster_sizes);
+  EXPECT_EQ(a.point_distances, b.point_distances);
+  EXPECT_EQ(a.sse, b.sse);
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.converged, b.converged);
+  EXPECT_EQ(automatic.representatives, fixed.representatives);
+  EXPECT_EQ(automatic.cluster_weights, fixed.cluster_weights);
 }
 
 TEST(AnalyzerAblation, SkippingRefinementStillWorks) {

@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "linalg/covariance.hpp"
 #include "ml/cluster_quality.hpp"
 #include "stats/rng.hpp"
+#include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
 namespace flare::ml {
@@ -260,6 +264,49 @@ TEST(WeightedKMeans, ValidatesWeights) {
   EXPECT_THROW(kmeans(data, p), std::invalid_argument);
 }
 
+/// Runs kmeans expecting a FaultError whose message contains `needle`.
+void expect_fault(const Matrix& data, const KMeansParams& p,
+                  const std::string& needle) {
+  try {
+    (void)kmeans(data, p);
+    ADD_FAILURE() << "expected a FaultError mentioning \"" << needle << "\"";
+  } catch (const FaultError& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+  }
+}
+
+TEST(WeightedKMeans, RejectsNonFiniteWeightsByRow) {
+  // +inf passes a plain non-negativity check and would turn centroids into
+  // NaN; a NaN weight is not "negative" either. Both name their row.
+  const Matrix data = blobs(10, 2, 5.0, 23);
+  KMeansParams p = params_with_k(2);
+  p.weights.assign(data.rows(), 1.0);
+  p.weights[3] = std::numeric_limits<double>::infinity();
+  expect_fault(data, p, "non-finite weight at row 3");
+  p.weights[3] = 1.0;
+  p.weights[7] = std::numeric_limits<double>::quiet_NaN();
+  expect_fault(data, p, "non-finite weight at row 7");
+  p.prune = false;
+  expect_fault(data, p, "non-finite weight at row 7");
+}
+
+TEST(KMeans, RejectsNonFiniteDataCellsByRowAndColumn) {
+  Matrix data = blobs(10, 2, 5.0, 24);
+  data(4, 1) = std::numeric_limits<double>::quiet_NaN();
+  expect_fault(data, params_with_k(2), "row 4, column 1");
+  data(4, 1) = 0.0;
+  data(12, 0) = -std::numeric_limits<double>::infinity();
+  expect_fault(data, params_with_k(2), "row 12, column 0");
+}
+
+TEST(KMeansWarmStart, RejectsNonFiniteInitialCentroids) {
+  const Matrix data = blobs(10, 2, 5.0, 25);
+  KMeansParams p = params_with_k(2);
+  p.initial_centroids = Matrix(2, 2);
+  p.initial_centroids(1, 0) = std::numeric_limits<double>::infinity();
+  expect_fault(data, p, "row 1, column 0");
+}
+
 class KMeansPropertySweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(KMeansPropertySweep, InvariantsAcrossK) {
@@ -344,6 +391,69 @@ TEST(KMeansDeterminism, PrunedMatchesNaiveOnClusteredAndWeightedInputs) {
   expect_bitwise_equal(kmeans(data, pruned), kmeans(data, naive));
 }
 
+/// The paper's clustering shape: ~900 scenarios in a 17-dim whitened space,
+/// here as uneven Gaussian blobs plus a diffuse background, with the last
+/// 60 rows exact copies of earlier ones.
+Matrix paper_shaped(std::uint64_t seed) {
+  constexpr std::size_t kRows = 900;
+  constexpr std::size_t kDims = 17;
+  stats::Rng rng(seed);
+  Matrix centers(12, kDims);
+  for (std::size_t c = 0; c < 12; ++c) {
+    for (std::size_t j = 0; j < kDims; ++j) centers(c, j) = rng.normal(0.0, 3.0);
+  }
+  Matrix m(kRows, kDims);
+  for (std::size_t i = 0; i < kRows - 60; ++i) {
+    const std::size_t c = i % 13;  // blobs 0..11, 12 = background
+    const double spread = c == 12 ? 3.0 : 0.2 + 0.1 * static_cast<double>(c);
+    for (std::size_t j = 0; j < kDims; ++j) {
+      m(i, j) = (c == 12 ? 0.0 : centers(c, j)) + rng.normal(0.0, spread);
+    }
+  }
+  for (std::size_t i = kRows - 60; i < kRows; ++i) {
+    m.set_row(i, m.row((i * 7) % (kRows - 60)));
+  }
+  return m;
+}
+
+TEST(KMeansDeterminism, PrunedMatchesNaiveAtPaperShape) {
+  const Matrix data = paper_shaped(918);
+  std::vector<double> weights(data.rows());
+  for (std::size_t i = 0; i < data.rows(); ++i) {
+    weights[i] = 0.25 + static_cast<double>((i * 31) % 11);
+  }
+  for (const bool weighted : {false, true}) {
+    for (const std::size_t k : {2u, 17u, 18u, 40u}) {
+      KMeansParams naive = params_with_k(k, 918 + k);
+      naive.restarts = 3;
+      if (weighted) naive.weights = weights;
+      KMeansParams pruned = naive;
+      naive.prune = false;
+      SCOPED_TRACE(::testing::Message() << "k=" << k << " weighted=" << weighted);
+      expect_bitwise_equal(kmeans(data, pruned), kmeans(data, naive));
+    }
+  }
+}
+
+// The pruned pass keeps one lower bound per (point, centroid) pair while
+// n·k doubles fit a 1 MiB working set (n·k <= 131072), and one per point
+// beyond it. Both sides of the boundary must match the naive scan.
+TEST(KMeansDeterminism, PrunedMatchesNaiveOnBothBoundLayouts) {
+  constexpr std::size_t kK = 32;
+  for (const std::size_t n : {4095u, 4097u}) {  // n·k just under / just over
+    Matrix data = random_cloud(n, 3, 77);
+    for (std::size_t i = 0; i < 40; ++i) data.set_row(n - 1 - i, data.row(i));
+    KMeansParams naive = params_with_k(kK, 77);
+    naive.restarts = 2;
+    naive.weights.assign(n, 1.0);
+    for (std::size_t i = 0; i < n; i += 5) naive.weights[i] = 3.5;
+    KMeansParams pruned = naive;
+    naive.prune = false;
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    expect_bitwise_equal(kmeans(data, pruned), kmeans(data, naive));
+  }
+}
+
 TEST(KMeansDeterminism, PrunedHandlesDuplicatePoints) {
   // Duplicate rows force zero distances and duplicate centroids — the d == 0
   // tie edge of the pruned scan.
@@ -376,13 +486,21 @@ TEST(KMeansDeterminism, IdenticalForEveryThreadCount) {
 }
 
 TEST(KMeansDeterminism, PointDistancesMatchRecomputation) {
-  const Matrix data = blobs(25, 4, 5.0, 11);
-  const KMeansResult r = kmeans(data, params_with_k(4, 11));
-  ASSERT_EQ(r.point_distances.size(), data.rows());
-  for (std::size_t i = 0; i < data.rows(); ++i) {
-    EXPECT_EQ(r.point_distances[i],
-              linalg::squared_distance(data.row(i),
-                                       r.centroids.row(r.assignment[i])));
+  // 100 points × k = 4 carries per-centroid bounds; 4100 × 40 is past the
+  // 1 MiB budget and carries one bound per point.
+  for (const auto& [per_cluster, k] :
+       {std::pair<std::size_t, std::size_t>{25, 4}, {1025, 40}}) {
+    const Matrix data = blobs(per_cluster, 4, 5.0, 11);
+    KMeansParams p = params_with_k(k, 11);
+    p.restarts = 2;
+    const KMeansResult r = kmeans(data, p);
+    ASSERT_EQ(r.point_distances.size(), data.rows());
+    for (std::size_t i = 0; i < data.rows(); ++i) {
+      ASSERT_EQ(r.point_distances[i],
+                linalg::squared_distance(data.row(i),
+                                         r.centroids.row(r.assignment[i])))
+          << "n=" << data.rows() << " point " << i;
+    }
   }
 }
 
