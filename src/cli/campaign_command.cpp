@@ -1,23 +1,20 @@
 // `flare campaign`: run a replay campaign over a simulated testbed farm —
 // the cost/accuracy dial over `flare evaluate`. Fits FLARE on a scenario
-// trace (single-shape or --shapes fleet), then schedules the representative
-// and validation replays across --testbeds slots, heavy clusters first,
-// stopping early at --target-ci or --budget. The anytime state (estimate,
-// band, checkpoints, per-testbed utilisation) can be archived with
-// --campaign-state for `flare report --campaign-state` to answer from.
+// trace (a --shapes fleet, or a one-shape fleet of --machine), then
+// schedules the representative and validation replays across --testbeds
+// slots, heavy clusters first, stopping early at --target-ci or --budget.
+// The anytime state (estimate, band, checkpoints, per-testbed utilisation)
+// can be archived with --campaign-state for `flare report --campaign-state`.
 #include <cmath>
 #include <ostream>
 
-#include "baselines/full_evaluator.hpp"
 #include "cli/commands.hpp"
 #include "cli/config_args.hpp"
 #include "cli/feature_spec.hpp"
 #include "core/campaign.hpp"
-#include "core/pipeline.hpp"
 #include "core/sharded_pipeline.hpp"
 #include "report/table.hpp"
 #include "trace/campaign_io.hpp"
-#include "trace/scenario_io.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -62,10 +59,9 @@ void print_campaign(std::ostream& out, const core::CampaignState& state) {
 int run_campaign(const Args& args, std::ostream& out) {
   const std::string scenarios_path = args.require_string("scenarios");
   const core::Feature feature = parse_feature(args.require_string("feature"));
-  const std::optional<dcsim::FleetConfig> fleet = fleet_from(args);
+  const dcsim::FleetConfig fleet = fleet_or_machine(args);
 
   core::FlareConfig config;
-  config.machine = machine_by_name(args.get_string("machine", "default"));
   config.analyzer = analyzer_config_from(args);
   config.schema = schema_by_name(args.get_string("schema", "standard"));
   config.threads = threads_from(args);
@@ -99,35 +95,9 @@ int run_campaign(const Args& args, std::ostream& out) {
   const bool with_truth = args.get_flag("truth");
   args.reject_unconsumed();
 
-  core::CampaignState state;
-  double truth = 0.0;
-  if (fleet.has_value()) {
-    const dcsim::ScenarioSet mixed =
-        trace::load_scenario_set(scenarios_path, fleet->shape_names());
-    core::ShardedConfig sharded;
-    sharded.base = config;
-    sharded.fleet = *fleet;
-    core::ShardedPipeline pipeline(sharded);
-    pipeline.fit(mixed);
-    state = core::run_campaign(pipeline, feature, campaign);
-    if (with_truth) {
-      const std::vector<double> weights = pipeline.weights();
-      for (std::size_t i = 0; i < pipeline.num_shards(); ++i) {
-        const baselines::FullDatacenterEvaluator shard_truth(
-            pipeline.shard(i).impact_model(), pipeline.shard(i).scenario_set());
-        truth += weights[i] * shard_truth.evaluate(feature).impact_pct;
-      }
-    }
-  } else {
-    const dcsim::ScenarioSet set = trace::load_scenario_set(scenarios_path);
-    core::FlarePipeline pipeline(config);
-    pipeline.fit(set);
-    state = core::run_campaign(pipeline, feature, campaign);
-    if (with_truth) {
-      const baselines::FullDatacenterEvaluator dc(pipeline.impact_model(), set);
-      truth = dc.evaluate(feature).impact_pct;
-    }
-  }
+  const core::ShardedPipeline pipeline = fit_fleet(scenarios_path, fleet, config);
+  const core::CampaignState state = core::run_campaign(pipeline, feature, campaign);
+  const double truth = with_truth ? fleet_truth(pipeline, feature) : 0.0;
 
   print_campaign(out, state);
   if (with_truth) {

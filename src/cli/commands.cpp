@@ -1,19 +1,18 @@
 #include "cli/commands.hpp"
 
 #include <cmath>
-#include <functional>
 #include <memory>
+#include <optional>
 #include <ostream>
+#include <vector>
 
-#include "baselines/full_evaluator.hpp"
 #include "baselines/sampling_evaluator.hpp"
 #include "cli/config_args.hpp"
 #include "cli/feature_spec.hpp"
-#include "core/pipeline.hpp"
+#include "core/out_of_core.hpp"
 #include "core/sharded_pipeline.hpp"
 #include "dcsim/fleet.hpp"
 #include "dcsim/submission.hpp"
-#include "core/out_of_core.hpp"
 #include "report/table.hpp"
 #include "trace/metric_io.hpp"
 #include "trace/scenario_io.hpp"
@@ -118,109 +117,13 @@ int run_profile(const Args& args, std::ostream& out) {
   return 0;
 }
 
-int run_analyze(const Args& args, std::ostream& out) {
-  const std::string metrics_path = args.require_string("metrics");
-  const std::optional<dcsim::FleetConfig> fleet = fleet_from(args);
-  const core::AnalyzerConfig config = analyzer_config_from(args);
-  const core::MetricSchema schema =
-      schema_by_name(args.get_string("schema", "standard"));
-  const std::string storage = args.get_string("storage", "ram");
-  ensure(storage == "ram" || storage == "mmap",
-         "unknown --storage '" + storage + "' (ram|mmap)");
-  const std::size_t memory_budget = memory_budget_from(args);
+namespace {
 
-  if (fleet.has_value()) {
-    // Sharded analysis: metric rows carry no shape id, so the row-aligned
-    // scenario trace routes them — row r of the metric CSV belongs to the
-    // shape of scenario r.
-    ensure(storage == "ram",
-           "analyze --shapes supports --storage ram only (per-shape "
-           "out-of-core analysis runs through the ShardedPipeline API)");
-    const std::string scenarios_path = args.require_string("scenarios");
-    args.reject_unconsumed();
-    const metrics::MetricCatalog& catalog = core::resolve_schema(schema);
-    const dcsim::ScenarioSet set =
-        trace::load_scenario_set(scenarios_path, fleet->shape_names());
-    const metrics::MetricDatabase db =
-        trace::load_metric_database(metrics_path, catalog);
-    ensure(db.num_rows() == set.size(),
-           "analyze --shapes: the metric CSV and scenario trace must be "
-           "row-aligned (" + std::to_string(db.num_rows()) + " metric rows vs " +
-               std::to_string(set.size()) + " scenarios)");
-    const std::vector<double> weights = fleet->population_weights();
-    std::size_t fleet_clusters = 0;
-    for (std::size_t i = 0; i < fleet->shapes.size(); ++i) {
-      const std::string& name = fleet->shapes[i].machine.name;
-      metrics::MetricDatabase shard_db(catalog);
-      for (std::size_t r = 0; r < set.size(); ++r) {
-        if (set.scenarios[r].machine_type == name) shard_db.add_row(db.row(r));
-      }
-      ensure(shard_db.num_rows() > 0,
-             "analyze --shapes: shape '" + name + "' has no scenario rows");
-      core::AnalyzerConfig shard_config = config;
-      shard_config.lineage_tag = core::ShardedPipeline::lineage_tag_for(name, i);
-      const core::Analyzer analyzer(shard_config);
-      const core::AnalysisResult analysis = analyzer.analyze(shard_db);
-      fleet_clusters += analysis.chosen_k;
-      out << "shape " << name << " (w="
-          << static_cast<int>(100.0 * weights[i]) << "%): "
-          << shard_db.num_rows() << " scenarios, "
-          << analysis.kept_columns.size() << " kept metrics, "
-          << analysis.num_components << " PCs, " << analysis.chosen_k
-          << " behaviour groups\n";
-    }
-    out << "fleet: " << set.size() << " scenarios across " << fleet->size()
-        << " shapes, " << fleet_clusters
-        << " behaviour groups total (per-shape pipelines never pool)\n";
-    return 0;
-  }
-  args.reject_unconsumed();
-
-  const metrics::MetricCatalog& catalog = core::resolve_schema(schema);
-  core::AnalysisResult analysis;
-  std::size_t num_metrics = 0;
-  // The representative lookup below needs row access; keep whichever backend
-  // was used alive and route through this accessor.
-  std::function<std::string(std::size_t)> scenario_key;
-
-  metrics::MetricDatabase db;
-  std::unique_ptr<metrics::ColumnStore> store;
-  if (storage == "mmap") {
-    // Out-of-core path (DESIGN.md §12): convert the CSV archive into a
-    // side-car column store, then stream it — the n × d dense matrix is
-    // never materialised. `.fcs` files are reusable across runs.
-    const std::string store_path = metrics_path + ".fcs";
-    trace::csv_to_column_store(metrics_path, store_path, catalog);
-    metrics::ColumnStoreOptions store_options;
-    store_options.sequential_drop = memory_budget > 0;
-    store = std::make_unique<metrics::ColumnStore>(store_path, catalog,
-                                                   store_options);
-    core::OutOfCoreOptions ooc;
-    ooc.memory_budget_bytes = memory_budget;
-    std::unique_ptr<util::ThreadPool> pool;
-    if (config.threads != 1) {
-      pool = std::make_unique<util::ThreadPool>(config.threads);
-    }
-    core::OutOfCoreTelemetry telemetry;
-    analysis =
-        core::analyze_out_of_core(*store, config, ooc, pool.get(), &telemetry);
-    num_metrics = store->num_metrics();
-    scenario_key = [&store](std::size_t r) {
-      return store->row(r).scenario_key;
-    };
-    out << "out-of-core: " << telemetry.passes << " streaming passes over "
-        << store->num_blocks() << " blocks ("
-        << (store->mapped() ? "mmap" : "buffered") << "), resident "
-        << telemetry.resident_bytes / 1024 << " KiB vs "
-        << telemetry.dense_bytes / 1024 << " KiB dense\n";
-  } else {
-    db = trace::load_metric_database(metrics_path, catalog);
-    const core::Analyzer analyzer(config);
-    analysis = analyzer.analyze(db);
-    num_metrics = db.num_metrics();
-    scenario_key = [&db](std::size_t r) { return db.row(r).scenario_key; };
-  }
-
+/// Prints one analysis: refinement, PCs, the optional quality sweep and the
+/// cluster table; `keys` names each cluster's representative scenario.
+void print_analysis(std::ostream& out, const core::AnalysisResult& analysis,
+                    std::size_t num_metrics,
+                    const std::vector<std::string>& keys) {
   out << "refinement: " << num_metrics << " raw -> "
       << analysis.kept_columns.size() << " kept ("
       << analysis.constant_columns.size() << " constant, "
@@ -247,100 +150,129 @@ int run_analyze(const Args& args, std::ostream& out) {
     table.add_row({std::to_string(c),
                    report::AsciiTable::cell(100.0 * analysis.cluster_weights[c], 1),
                    std::to_string(analysis.clustering.cluster_sizes[c]),
-                   scenario_key(analysis.representatives[c])});
+                   keys[c]});
   }
   table.print(out);
-  return 0;
-}
-
-namespace {
-
-/// The --shapes path of `flare evaluate`: sharded fit, per-shape telemetry,
-/// weighted fan-in, optional weighted ground truth.
-int run_evaluate_fleet(std::ostream& out, const std::string& scenarios_path,
-                       const core::Feature& feature,
-                       const dcsim::FleetConfig& fleet,
-                       const core::FlareConfig& config, bool per_job,
-                       bool with_truth) {
-  const dcsim::ScenarioSet set =
-      trace::load_scenario_set(scenarios_path, fleet.shape_names());
-  core::ShardedConfig sharded;
-  sharded.base = config;
-  sharded.fleet = fleet;
-  core::ShardedPipeline pipeline(sharded);
-  pipeline.fit(set);
-
-  const core::FleetEstimate est = pipeline.evaluate(feature);
-  out << feature.name() << " (" << feature.description() << ")\n";
-  out << "fleet estimate: " << est.impact_pct << "% HP MIPS reduction ("
-      << est.scenario_replays << " scenario replays vs " << set.size()
-      << " scenarios across " << fleet.size() << " shapes)\n";
-  out << "fan-in mass: direct " << 100.0 * est.replay.direct_mass
-      << "% / fallback " << 100.0 * est.replay.fallback_mass
-      << "% / quarantined " << 100.0 * est.replay.quarantined_mass
-      << "% (total " << 100.0 * est.replay.total_mass() << "%)\n";
-
-  report::AsciiTable table({"shape", "weight %", "impact %", "clusters",
-                            "replays"});
-  table.set_alignment(0, report::Align::kLeft);
-  for (const core::ShardFeatureEstimate& s : est.per_shape) {
-    table.add_row({s.shape, report::AsciiTable::cell(100.0 * s.weight, 1),
-                   report::AsciiTable::cell(s.estimate.impact_pct),
-                   std::to_string(s.estimate.per_cluster.size()),
-                   std::to_string(s.estimate.scenario_replays)});
-  }
-  table.print(out);
-
-  if (with_truth) {
-    // Fleet-wide truth is the same weighted fan-in over per-shape truths:
-    // each shape's full-datacenter evaluator runs its own impact model.
-    double truth = 0.0;
-    const std::vector<double> weights = pipeline.weights();
-    for (std::size_t i = 0; i < pipeline.num_shards(); ++i) {
-      const baselines::FullDatacenterEvaluator shard_truth(
-          pipeline.shard(i).impact_model(), pipeline.shard(i).scenario_set());
-      truth += weights[i] * shard_truth.evaluate(feature).impact_pct;
-    }
-    out << "fleet-wide truth: " << truth << "%  (sharded |error| "
-        << std::abs(est.impact_pct - truth) << " pp)\n";
-  }
-
-  if (per_job) {
-    out << "\nper-HP-job impacts (fleet-wide):\n";
-    report::AsciiTable jobs({"job", "impact %", "covered weight %"});
-    for (const dcsim::JobType job : dcsim::hp_job_types()) {
-      bool present = false;
-      for (const dcsim::ColocationScenario& s : set.scenarios) {
-        if (s.mix.count(job) > 0) {
-          present = true;
-          break;
-        }
-      }
-      if (!present) {
-        jobs.add_row({std::string(dcsim::job_code(job)),
-                      "n/a (never scheduled)", "0"});
-        continue;
-      }
-      const core::FleetPerJobEstimate pj = pipeline.evaluate_per_job(feature, job);
-      jobs.add_row({std::string(dcsim::job_code(job)),
-                    report::AsciiTable::cell(pj.impact_pct),
-                    report::AsciiTable::cell(100.0 * pj.covered_weight, 1)});
-    }
-    jobs.print(out);
-  }
-  return 0;
 }
 
 }  // namespace
 
+int run_analyze(const Args& args, std::ostream& out) {
+  const std::string metrics_path = args.require_string("metrics");
+  const std::optional<dcsim::FleetConfig> fleet = fleet_from(args);
+  const core::AnalyzerConfig config = analyzer_config_from(args);
+  const core::MetricSchema schema =
+      schema_by_name(args.get_string("schema", "standard"));
+  const std::string storage = args.get_string("storage", "ram");
+  ensure(storage == "ram" || storage == "mmap",
+         "unknown --storage '" + storage + "' (ram|mmap)");
+  const std::size_t memory_budget = memory_budget_from(args);
+  const std::string scenarios_path =
+      fleet.has_value() ? args.require_string("scenarios") : "";
+  args.reject_unconsumed();
+  ensure(storage == "ram" || !fleet.has_value() || fleet->size() == 1,
+         "analyze --storage mmap requires a single shape (per-shape "
+         "out-of-core analysis runs through the ShardedPipeline API)");
+
+  // Metric rows carry no shape id. With --shapes, row r belongs to the shape
+  // of scenario r in the row-aligned trace; without, one group holds every
+  // row. Each shape is analysed in its own pipeline — shapes never pool.
+  const metrics::MetricCatalog& catalog = core::resolve_schema(schema);
+  std::vector<std::string> shapes{""};
+  std::vector<std::size_t> row_shape;
+  if (fleet.has_value()) {
+    shapes = fleet->shape_names();
+    for (const dcsim::ColocationScenario& s :
+         trace::load_scenario_set(scenarios_path, shapes).scenarios) {
+      row_shape.push_back(*fleet->index_of(s.machine_type));
+    }
+  }
+
+  metrics::MetricDatabase db;
+  std::unique_ptr<metrics::ColumnStore> store;
+  if (storage == "mmap") {
+    // Out-of-core path (DESIGN.md §12): convert the CSV archive into a
+    // side-car column store, then stream it — the n × d dense matrix is
+    // never materialised. `.fcs` files are reusable across runs.
+    const std::string store_path = metrics_path + ".fcs";
+    trace::csv_to_column_store(metrics_path, store_path, catalog);
+    metrics::ColumnStoreOptions store_options;
+    store_options.sequential_drop = memory_budget > 0;
+    store = std::make_unique<metrics::ColumnStore>(store_path, catalog,
+                                                   store_options);
+  } else {
+    db = trace::load_metric_database(metrics_path, catalog);
+  }
+  const std::size_t num_rows = store ? store->num_rows() : db.num_rows();
+  ensure(row_shape.empty() || row_shape.size() == num_rows,
+         "analyze --shapes: the metric CSV and scenario trace must be "
+         "row-aligned (" + std::to_string(num_rows) + " metric rows vs " +
+             std::to_string(row_shape.size()) + " scenarios)");
+
+  const bool fan_in = shapes.size() > 1;
+  std::size_t fleet_clusters = 0;
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    core::AnalyzerConfig shape_config = config;
+    shape_config.lineage_tag = core::ShardedPipeline::lineage_tag_for(shapes[i], i);
+    core::AnalysisResult analysis;
+    metrics::MetricDatabase shape_db(catalog);
+    const metrics::MetricDatabase* rows = &db;
+    if (store) {
+      core::OutOfCoreOptions ooc;
+      ooc.memory_budget_bytes = memory_budget;
+      std::unique_ptr<util::ThreadPool> pool;
+      if (config.threads != 1) {
+        pool = std::make_unique<util::ThreadPool>(config.threads);
+      }
+      core::OutOfCoreTelemetry telemetry;
+      analysis = core::analyze_out_of_core(*store, shape_config, ooc, pool.get(),
+                                           &telemetry);
+      out << "out-of-core: " << telemetry.passes << " streaming passes over "
+          << store->num_blocks() << " blocks ("
+          << (store->mapped() ? "mmap" : "buffered") << "), resident "
+          << telemetry.resident_bytes / 1024 << " KiB vs "
+          << telemetry.dense_bytes / 1024 << " KiB dense\n";
+    } else {
+      if (!row_shape.empty()) {
+        for (std::size_t r = 0; r < num_rows; ++r) {
+          if (row_shape[r] == i) shape_db.add_row(db.row(r));
+        }
+        ensure(shape_db.num_rows() > 0,
+               "analyze --shapes: shape '" + shapes[i] + "' has no scenario rows");
+        rows = &shape_db;
+      }
+      analysis = core::Analyzer(shape_config).analyze(*rows);
+    }
+    std::vector<std::string> keys;
+    for (const std::size_t r : analysis.representatives) {
+      keys.push_back(store ? store->row(r).scenario_key : rows->row(r).scenario_key);
+    }
+    fleet_clusters += analysis.chosen_k;
+    if (fan_in) {
+      out << "shape " << shapes[i] << " (w="
+          << static_cast<int>(100.0 * fleet->population_weights()[i])
+          << "%): " << rows->num_rows()
+          << " scenarios, " << analysis.kept_columns.size() << " kept metrics, "
+          << analysis.num_components << " PCs, " << analysis.chosen_k
+          << " behaviour groups\n";
+    }
+    print_analysis(out, analysis, store ? store->num_metrics() : db.num_metrics(),
+                   keys);
+    if (fan_in) out << "\n";
+  }
+  if (fan_in) {
+    out << "fleet: " << num_rows << " scenarios across " << shapes.size()
+        << " shapes, " << fleet_clusters
+        << " behaviour groups total (per-shape pipelines never pool)\n";
+  }
+  return 0;
+}
+
 int run_evaluate(const Args& args, std::ostream& out) {
   const std::string scenarios_path = args.require_string("scenarios");
   const core::Feature feature = parse_feature(args.require_string("feature"));
-  const std::optional<dcsim::FleetConfig> fleet = fleet_from(args);
-  const dcsim::MachineConfig machine =
-      machine_by_name(args.get_string("machine", "default"));
+  const dcsim::FleetConfig fleet = fleet_or_machine(args);
   core::FlareConfig config;
-  config.machine = machine;
   config.analyzer = analyzer_config_from(args);
   config.schema = schema_by_name(args.get_string("schema", "standard"));
   config.threads = threads_from(args);
@@ -350,83 +282,129 @@ int run_evaluate(const Args& args, std::ostream& out) {
   const bool with_truth = args.get_flag("truth");
   const bool with_sampling = args.get_flag("sampling");
   args.reject_unconsumed();
+  ensure(!with_sampling || fleet.size() == 1,
+         "evaluate --sampling requires a single shape (the sampling baseline "
+         "is single-shape)");
 
-  if (fleet.has_value()) {
-    ensure(!with_sampling,
-           "evaluate --shapes does not support --sampling (the sampling "
-           "baseline is single-shape)");
-    return run_evaluate_fleet(out, scenarios_path, feature, *fleet, config,
-                              per_job, with_truth);
-  }
-
-  const dcsim::ScenarioSet set = trace::load_scenario_set(scenarios_path);
-  core::FlarePipeline pipeline(config);
-  pipeline.fit(set);
-
-  const core::FeatureEstimate est = pipeline.evaluate(feature);
-  out << feature.name() << " (" << feature.description() << ")\n";
-  out << "FLARE estimate: " << est.impact_pct << "% HP MIPS reduction ("
-      << est.scenario_replays << " scenario replays vs " << set.size()
-      << " scenarios in the datacenter)\n";
-  if (config.replay_faults.enabled) {
-    out << "replay health: " << est.replay.total_attempts << " attempts ("
-        << est.replay.failed_attempts << " failed), mass direct "
-        << 100.0 * est.replay.direct_mass << "% / fallback "
-        << 100.0 * est.replay.fallback_mass << "% / quarantined "
-        << 100.0 * est.replay.quarantined_mass << "%, uncertainty +-"
-        << est.replay.measurement_uncertainty_pp +
-               est.replay.quarantine_widening_pp
-        << " pp, testbed " << est.replay.simulated_seconds / 3600.0
-        << " h (simulated)\n";
-  }
-
-  if (with_truth || with_sampling) {
-    const baselines::FullDatacenterEvaluator truth(pipeline.impact_model(), set);
-    const double dc = truth.evaluate(feature).impact_pct;
-    out << "full-datacenter truth: " << dc << "%  (FLARE |error| "
-        << std::abs(est.impact_pct - dc) << " pp)\n";
-    if (with_sampling) {
-      const baselines::RandomSamplingEvaluator sampling(pipeline.impact_model(),
-                                                        set);
-      baselines::SamplingConfig sc;
-      sc.sample_size = est.scenario_replays;
-      sc.trials = 1000;
-      const baselines::SamplingResult sr = sampling.evaluate(feature, sc, dc);
-      out << "sampling @ equal cost: 95% of trials in [" << sr.ci95.lower << ", "
-          << sr.ci95.upper << "]%, max |error| " << sr.max_abs_error << " pp\n";
-    }
-  }
-
-  report::AsciiTable table({"cluster", "weight %", "impact %", "representative"});
-  table.set_alignment(3, report::Align::kLeft);
-  for (const core::ClusterImpact& ci : est.per_cluster) {
-    table.add_row({std::to_string(ci.cluster),
-                   report::AsciiTable::cell(100.0 * ci.weight, 1),
-                   report::AsciiTable::cell(ci.impact_pct),
-                   set.scenarios[ci.representative_scenario].mix.key()});
-  }
-  table.print(out);
-
+  core::ShardedPipeline pipeline = fit_fleet(scenarios_path, fleet, config);
+  const core::FleetEstimate est = pipeline.evaluate(feature);
+  std::vector<double> truths;
+  const double truth = with_truth || with_sampling
+                           ? fleet_truth(pipeline, feature, &truths)
+                           : 0.0;
+  // One fleet per-job estimate per HP job; nullopt = no shape ever ran it.
+  std::vector<std::optional<core::FleetPerJobEstimate>> jobs;
   if (per_job) {
-    out << "\nper-HP-job impacts:\n";
-    report::AsciiTable jobs({"job", "impact %"});
     for (const dcsim::JobType job : dcsim::hp_job_types()) {
-      bool present = false;
-      for (const dcsim::ColocationScenario& s : set.scenarios) {
-        if (s.mix.count(job) > 0) {
-          present = true;
-          break;
-        }
-      }
-      if (!present) {
-        jobs.add_row({std::string(dcsim::job_code(job)), "n/a (never scheduled)"});
-        continue;
-      }
-      const core::PerJobEstimate pj = pipeline.evaluate_per_job(feature, job);
-      jobs.add_row({std::string(dcsim::job_code(job)),
-                    report::AsciiTable::cell(pj.impact_pct)});
+      jobs.push_back(pipeline.has_job(job)
+                         ? std::optional(pipeline.evaluate_per_job(feature, job))
+                         : std::nullopt);
     }
-    jobs.print(out);
+  }
+
+  out << feature.name() << " (" << feature.description() << ")\n";
+  const bool fan_in = pipeline.num_shards() > 1;
+  if (fan_in) {
+    std::size_t scenarios = 0;
+    for (std::size_t i = 0; i < pipeline.num_shards(); ++i) {
+      scenarios += pipeline.shard(i).scenario_set().size();
+    }
+    out << "fleet estimate: " << est.impact_pct << "% HP MIPS reduction ("
+        << est.scenario_replays << " scenario replays vs " << scenarios
+        << " scenarios across " << fleet.size() << " shapes)\n";
+    out << "fan-in mass: direct " << 100.0 * est.replay.direct_mass
+        << "% / fallback " << 100.0 * est.replay.fallback_mass
+        << "% / quarantined " << 100.0 * est.replay.quarantined_mass
+        << "% (total " << 100.0 * est.replay.total_mass() << "%)\n";
+    report::AsciiTable table({"shape", "weight %", "impact %", "clusters",
+                              "replays"});
+    table.set_alignment(0, report::Align::kLeft);
+    for (const core::ShardFeatureEstimate& s : est.per_shape) {
+      table.add_row({s.shape, report::AsciiTable::cell(100.0 * s.weight, 1),
+                     report::AsciiTable::cell(s.estimate.impact_pct),
+                     std::to_string(s.estimate.per_cluster.size()),
+                     std::to_string(s.estimate.scenario_replays)});
+    }
+    table.print(out);
+    if (with_truth) {
+      out << "fleet-wide truth: " << truth << "%  (sharded |error| "
+          << std::abs(est.impact_pct - truth) << " pp)\n";
+    }
+  }
+
+  for (std::size_t i = 0; i < pipeline.num_shards(); ++i) {
+    const core::FlarePipeline& shard = pipeline.shard(i);
+    const dcsim::ScenarioSet& set = shard.scenario_set();
+    const core::FeatureEstimate& shape_est = est.per_shape[i].estimate;
+    if (fan_in) out << "\nshape " << est.per_shape[i].shape << ":\n";
+    out << "FLARE estimate: " << shape_est.impact_pct << "% HP MIPS reduction ("
+        << shape_est.scenario_replays << " scenario replays vs " << set.size()
+        << " scenarios in the datacenter)\n";
+    if (config.replay_faults.enabled) {
+      const core::ReplayLedger& ledger = shape_est.replay;
+      out << "replay health: " << ledger.total_attempts << " attempts ("
+          << ledger.failed_attempts << " failed), mass direct "
+          << 100.0 * ledger.direct_mass << "% / fallback "
+          << 100.0 * ledger.fallback_mass << "% / quarantined "
+          << 100.0 * ledger.quarantined_mass << "%, uncertainty +-"
+          << ledger.measurement_uncertainty_pp + ledger.quarantine_widening_pp
+          << " pp, testbed " << ledger.simulated_seconds / 3600.0
+          << " h (simulated)\n";
+    }
+    if (with_truth || with_sampling) {
+      const double dc = truths[i];
+      out << "full-datacenter truth: " << dc << "%  (FLARE |error| "
+          << std::abs(shape_est.impact_pct - dc) << " pp)\n";
+      if (with_sampling) {
+        const baselines::RandomSamplingEvaluator sampling(shard.impact_model(),
+                                                          set);
+        baselines::SamplingConfig sc;
+        sc.sample_size = shape_est.scenario_replays;
+        sc.trials = 1000;
+        const baselines::SamplingResult sr = sampling.evaluate(feature, sc, dc);
+        out << "sampling @ equal cost: 95% of trials in [" << sr.ci95.lower
+            << ", " << sr.ci95.upper << "]%, max |error| " << sr.max_abs_error
+            << " pp\n";
+      }
+    }
+
+    report::AsciiTable table({"cluster", "weight %", "impact %", "representative"});
+    table.set_alignment(3, report::Align::kLeft);
+    for (const core::ClusterImpact& ci : shape_est.per_cluster) {
+      table.add_row({std::to_string(ci.cluster),
+                     report::AsciiTable::cell(100.0 * ci.weight, 1),
+                     report::AsciiTable::cell(ci.impact_pct),
+                     set.scenarios[ci.representative_scenario].mix.key()});
+    }
+    table.print(out);
+
+    if (per_job) {
+      out << "\nper-HP-job impacts:\n";
+      report::AsciiTable table_jobs({"job", "impact %"});
+      for (std::size_t j = 0; j < jobs.size(); ++j) {
+        const bool ran = jobs[j].has_value() && jobs[j]->per_shape[i].estimate;
+        table_jobs.add_row(
+            {std::string(dcsim::job_code(dcsim::hp_job_types()[j])),
+             ran ? report::AsciiTable::cell(jobs[j]->per_shape[i].estimate->impact_pct)
+                 : "n/a (never scheduled)"});
+      }
+      table_jobs.print(out);
+    }
+  }
+
+  if (fan_in && per_job) {
+    out << "\nper-HP-job impacts (fleet-wide):\n";
+    report::AsciiTable table_jobs({"job", "impact %", "covered weight %"});
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      const bool ran = jobs[j].has_value();
+      table_jobs.add_row(
+          {std::string(dcsim::job_code(dcsim::hp_job_types()[j])),
+           ran ? report::AsciiTable::cell(jobs[j]->impact_pct)
+               : "n/a (never scheduled)",
+           ran ? report::AsciiTable::cell(100.0 * jobs[j]->covered_weight, 1)
+               : "0"});
+    }
+    table_jobs.print(out);
   }
   return 0;
 }
@@ -457,8 +435,7 @@ int run_help(std::ostream& out) {
          "      the dense matrix; --memory-budget caps the resident working\n"
          "      set (MiB); --kmeans-mode picks the cluster-sweep solver\n"
          "      (minibatch = coreset solve + full-data refinement);\n"
-         "      --shapes analyses each machine shape in its own pipeline\n"
-         "      (metric rows routed by the row-aligned scenario trace)\n"
+         "      with --shapes the row-aligned scenario trace routes rows\n"
          "      refinement -> PCA -> clustering -> representative scenarios\n"
          "  evaluate --scenarios F.csv --feature SPEC [--machine ...]\n"
          "           [--clusters K] [--per-job] [--truth] [--sampling]\n"
@@ -467,8 +444,6 @@ int run_help(std::ostream& out) {
          "           [--replay-retries N] [--replay-deadline D] [--replay-ci W]\n"
          "           [--max-quarantined-mass M] [--shapes SPEC]\n"
          "      estimate a feature's fleet impact from the representatives;\n"
-         "      --shapes shards the pipeline per machine shape and fans the\n"
-         "      per-shape estimates in with population weights;\n"
          "      --replay-faults injects testbed replay faults at rate R\n"
          "      (retried N times, deadline D seconds, repeat-measured until\n"
          "      the CI half-width is <= W pp; unreplayable representatives\n"
@@ -491,9 +466,8 @@ int run_help(std::ostream& out) {
          "      --faults injects counter faults at rate R (quorum Q valid\n"
          "      samples per row, N retries); --journal guards the appends\n"
          "      with a write-ahead journal, --resume rolls back torn ones;\n"
-         "      --shapes routes the batch per shape — only shards the batch\n"
-         "      touches run their drift gate; --drift-response turns on the\n"
-         "      adaptive response (see drift-response SPEC below)\n"
+         "      --drift-response turns on the adaptive response (see\n"
+         "      drift-response SPEC below)\n"
          "  campaign --scenarios F.csv --feature SPEC [--machine ...]\n"
          "           [--clusters K] [--testbeds N] [--testbed-speeds LIST]\n"
          "           [--budget SECONDS]\n"
@@ -518,8 +492,7 @@ int run_help(std::ostream& out) {
          "         [--max-quarantined-mass M] [--shapes SPEC]\n"
          "      write a Markdown evaluation report; LIST is ';'-separated\n"
          "      feature SPECs (default: the three Table 4 features);\n"
-         "      replay flags as in `evaluate`; --shapes writes the\n"
-         "      heterogeneous-fleet report (per-shape + fan-in estimates)\n"
+         "      replay flags as in `evaluate`\n"
          "  report --campaign-state C.csv --out R.md\n"
          "      answer from an archived (possibly mid-run) replay campaign:\n"
          "      anytime estimate + band, checkpoint narrowing history,\n"
@@ -549,7 +522,12 @@ int run_help(std::ostream& out) {
          "  5 fault, 6 quarantine, 7 replay, 8 journal, 9 serve, 1 other\n\n"
          "shapes SPEC: comma-separated shape[:count] entries, e.g.\n"
          "  'default:6,small:2,dense:4' — count = machines of that shape;\n"
-         "  weights for the fleet-wide fan-in are machine-count shares\n"
+         "  weights for the fleet-wide fan-in are machine-count shares.\n"
+         "  analyze, evaluate, ingest, campaign and report run one pipeline\n"
+         "  per shape, print each shape's detail, and with several shapes the\n"
+         "  fleet fan-in; without --shapes the fleet is one --machine shape,\n"
+         "  and a trace row naming another shape is refused (exit 2).\n"
+         "  --sampling, --storage mmap and ingest --metrics need one shape\n"
          "dynamics SPEC: comma-separated generator entries name[:key=value...]\n"
          "  with name = diurnal (period= amp= hp_amp= phase=), flash\n"
          "  (rate= dur= mult= short=), upgrade (at= frac= shift=), anomaly\n"

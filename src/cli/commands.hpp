@@ -1,31 +1,21 @@
 // The `flare` CLI commands. Each takes parsed Args, does its work against
 // CSV traces on disk, writes human-readable results to `out`, and returns a
-// process exit code.
+// process exit code. `flare help` (run_help) documents every flag.
 //
-//   flare simulate --out scenarios.csv [--machine default|small]
-//                  [--scenarios N] [--seed S] [--machines M]
-//   flare profile  --scenarios scenarios.csv --out metrics.csv
-//                  [--machine ...] [--samples K] [--seed S]
-//   flare analyze  --metrics metrics.csv [--clusters K | --auto-k]
-//                  [--quality-curve] [--ward] [--no-whiten] [--no-refine]
-//   flare evaluate --scenarios scenarios.csv --feature SPEC
-//                  [--machine ...] [--clusters K] [--per-job] [--truth]
-//   flare report   --scenarios scenarios.csv --out report.md
-//                  [--features "feature1;fmax=2.0,llc=20"] [--truth]
-//                  [--campaign-state campaign.csv]
-//   flare campaign --scenarios scenarios.csv --feature SPEC
-//                  [--testbeds N] [--budget SECONDS] [--target-ci PP]
-//                  [--checkpoint-every N] [--prior-band PP] [--no-validation]
-//                  [--campaign-state campaign.csv] [--truth] [--shapes SPEC]
-//   flare drift    --baseline metrics.csv --fresh new_metrics.csv
-//                  [--clusters K] [--refit-ratio R] [--reweight-shift S]
-//   flare ingest   --scenarios scenarios.csv --batch batch.csv
-//                  [--refit-policy auto|never|always] [--commit]
-//                  [--pca-update incremental|refit|auto] [--pca-drift-limit D]
-//                  [--metrics metrics.csv] [--machine ...] [--clusters K]
-//                  [--faults R] [--fault-seed S] [--sample-quorum Q]
-//                  [--max-retries N] [--journal] [--resume]
-//   flare help
+//   simulate  archive a simulated datacenter's co-location scenarios
+//             (--shapes: one scheduler per machine shape, shape-tagged rows)
+//   profile   collect the two-level raw metric database per scenario
+//   analyze   refinement -> PCA -> clustering -> representative scenarios
+//   evaluate  a feature's impact from the representatives' replays
+//   campaign  those replays scheduled on a simulated testbed farm
+//   report    Markdown report from a trace or a --campaign-state archive
+//   drift     triage representative validity between two metric archives
+//   ingest    absorb a batch of fresh scenarios with the cheapest action
+//   serve     resident daemon on a Unix socket; `client` is its caller
+//
+// analyze, evaluate, campaign, report and ingest have one data plane: a
+// ShardedPipeline over the --shapes fleet, or without --shapes a one-shape
+// fleet of --machine (bit-identical to a plain FlarePipeline).
 #pragma once
 
 #include <iosfwd>

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <string>
 
+#include "baselines/full_evaluator.hpp"
+#include "trace/scenario_io.hpp"
 #include "util/error.hpp"
 #include "util/seed_stream.hpp"
 
@@ -29,6 +31,43 @@ std::optional<dcsim::FleetConfig> fleet_from(const Args& args) {
   const std::string spec = args.get_string("shapes", "");
   if (spec.empty()) return std::nullopt;
   return dcsim::parse_fleet_spec(spec);
+}
+
+dcsim::FleetConfig fleet_or_machine(const Args& args) {
+  const dcsim::MachineConfig machine =
+      machine_by_name(args.get_string("machine", "default"));
+  if (std::optional<dcsim::FleetConfig> fleet = fleet_from(args)) return *fleet;
+  dcsim::FleetConfig fleet;
+  fleet.shapes.push_back({machine, 1});
+  return fleet;
+}
+
+core::ShardedPipeline fit_fleet(const std::string& path,
+                                const dcsim::FleetConfig& fleet,
+                                const core::FlareConfig& config) {
+  const dcsim::ScenarioSet set =
+      trace::load_scenario_set(path, fleet.shape_names());
+  core::ShardedConfig sharded;
+  sharded.base = config;
+  sharded.fleet = fleet;
+  core::ShardedPipeline pipeline(sharded);
+  pipeline.fit(set);
+  return pipeline;
+}
+
+double fleet_truth(const core::ShardedPipeline& pipeline,
+                   const core::Feature& feature,
+                   std::vector<double>* per_shape) {
+  const std::vector<double> weights = pipeline.weights();
+  double truth = 0.0;
+  for (std::size_t i = 0; i < pipeline.num_shards(); ++i) {
+    const baselines::FullDatacenterEvaluator evaluator(
+        pipeline.shard(i).impact_model(), pipeline.shard(i).scenario_set());
+    const double shape_truth = evaluator.evaluate(feature).impact_pct;
+    if (per_shape != nullptr) per_shape->push_back(shape_truth);
+    truth += weights[i] * shape_truth;
+  }
+  return truth;
 }
 
 std::size_t threads_from(const Args& args) {

@@ -1,15 +1,18 @@
 // Shared option parsers for the `flare` commands: the --machine/--schema
 // name maps plus the analyzer and --threads knobs that several commands
-// accept with identical spellings.
+// accept with identical spellings, and the fleet setup every pipeline
+// command shares.
 #pragma once
 
 #include <cstddef>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "cli/args.hpp"
 #include "core/analyzer.hpp"
 #include "core/pipeline.hpp"
+#include "core/sharded_pipeline.hpp"
 #include "dcsim/dynamics.hpp"
 #include "dcsim/fleet.hpp"
 #include "dcsim/machine_config.hpp"
@@ -21,9 +24,28 @@ namespace flare::cli {
 [[nodiscard]] dcsim::MachineConfig machine_by_name(const std::string& name);
 
 /// Shared --shapes knob: a fleet spec like "default:6,small:2,dense:4"
-/// (shape[:count], comma-separated). nullopt when the flag is absent —
-/// the command runs its single-shape path, bit-identical to before.
+/// (shape[:count], comma-separated). nullopt when the flag is absent.
 [[nodiscard]] std::optional<dcsim::FleetConfig> fleet_from(const Args& args);
+
+/// The fleet a pipeline command runs on: the --shapes table when given,
+/// else a one-shape fleet of --machine (default "default"). A one-shape
+/// ShardedPipeline is bit-identical to a plain FlarePipeline (ctest -L
+/// shard), so every command has one data plane.
+[[nodiscard]] dcsim::FleetConfig fleet_or_machine(const Args& args);
+
+/// Loads the scenario trace at `path` and fits one ShardedPipeline over it.
+/// A row whose shape id names no fleet shape (e.g. a `small` trace run
+/// without --machine small) fails with a positioned ParseError.
+[[nodiscard]] core::ShardedPipeline fit_fleet(const std::string& path,
+                                              const dcsim::FleetConfig& fleet,
+                                              const core::FlareConfig& config);
+
+/// Fleet-wide full-datacenter truth for `feature`: each shape's exhaustive
+/// evaluator runs its own impact model; `per_shape` (when given) receives
+/// the shape truths in fleet order, the return value their weighted fan-in.
+[[nodiscard]] double fleet_truth(const core::ShardedPipeline& pipeline,
+                                 const core::Feature& feature,
+                                 std::vector<double>* per_shape = nullptr);
 
 /// Shared --threads knob: 1 = serial (default), 0 = all hardware threads.
 [[nodiscard]] std::size_t threads_from(const Args& args);

@@ -6,15 +6,12 @@
 #include <fstream>
 #include <ostream>
 
-#include "baselines/full_evaluator.hpp"
 #include "cli/commands.hpp"
 #include "cli/config_args.hpp"
 #include "cli/feature_spec.hpp"
 #include "core/campaign.hpp"
-#include "core/pipeline.hpp"
 #include "core/sharded_pipeline.hpp"
 #include "trace/campaign_io.hpp"
-#include "trace/scenario_io.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -23,17 +20,24 @@ namespace {
 
 std::string pct(double value) { return util::format_double(value, 2) + " %"; }
 
-void write_report(std::ostream& md, core::FlarePipeline& pipeline,
-                  const dcsim::ScenarioSet& set,
-                  const std::vector<core::Feature>& features, bool with_truth) {
-  const core::AnalysisResult& analysis = pipeline.analysis();
+/// One shape's section: datacenter summary, cluster inventory with
+/// interpretations, and the shape's per-feature estimates and breakdowns.
+/// `h2`/`h3` are the heading markers (one level deeper inside a fleet).
+void write_shape_report(std::ostream& md, const core::FlarePipeline& shard,
+                        std::size_t index,
+                        const std::vector<core::Feature>& features,
+                        const std::vector<core::FleetEstimate>& estimates,
+                        const std::vector<std::vector<double>>& truths,
+                        bool with_truth, const std::string& h2,
+                        const std::string& h3) {
+  const core::AnalysisResult& analysis = shard.analysis();
+  const dcsim::ScenarioSet& set = shard.scenario_set();
 
-  md << "# FLARE feature-evaluation report\n\n";
-  md << "## Datacenter\n\n";
-  md << "- machine shape: `" << pipeline.config().machine.name << "` ("
-     << pipeline.config().machine.cpu_model << ")\n";
+  md << h2 << "Datacenter\n\n";
+  md << "- machine shape: `" << shard.config().machine.name << "` ("
+     << shard.config().machine.cpu_model << ")\n";
   md << "- distinct job co-location scenarios: " << set.size() << "\n";
-  md << "- raw metrics: " << pipeline.database().num_metrics() << " → "
+  md << "- raw metrics: " << shard.database().num_metrics() << " → "
      << analysis.kept_columns.size() << " after refinement\n";
   md << "- high-level metrics (PCs): " << analysis.num_components
      << " explaining "
@@ -43,7 +47,7 @@ void write_report(std::ostream& md, core::FlarePipeline& pipeline,
      << " % of variance\n";
   md << "- behaviour groups: " << analysis.chosen_k << "\n\n";
 
-  md << "## Representative scenarios\n\n";
+  md << h2 << "Representative scenarios\n\n";
   md << "| cluster | weight | interpretation of strongest PC | representative mix |\n";
   md << "|---|---|---|---|\n";
   for (std::size_t c = 0; c < analysis.chosen_k; ++c) {
@@ -65,18 +69,17 @@ void write_report(std::ostream& md, core::FlarePipeline& pipeline,
        << set.scenarios[analysis.representatives[c]].mix.key() << "` |\n";
   }
 
-  md << "\n## Feature estimates\n\n";
+  md << "\n" << h2 << "Feature estimates\n\n";
   md << "| feature | estimate";
   if (with_truth) md << " | datacenter truth | abs. error";
   md << " | replays |\n|---|---";
   if (with_truth) md << "|---|---";
   md << "|---|\n";
-  for (const core::Feature& feature : features) {
-    const core::FeatureEstimate est = pipeline.evaluate(feature);
-    md << "| " << feature.name() << " | " << pct(est.impact_pct);
+  for (std::size_t f = 0; f < features.size(); ++f) {
+    const core::FeatureEstimate& est = estimates[f].per_shape[index].estimate;
+    md << "| " << features[f].name() << " | " << pct(est.impact_pct);
     if (with_truth) {
-      const baselines::FullDatacenterEvaluator truth(pipeline.impact_model(), set);
-      const double dc = truth.evaluate(feature).impact_pct;
+      const double dc = truths[f][index];
       md << " | " << pct(dc) << " | "
          << util::format_double(std::abs(est.impact_pct - dc), 2) << " pp";
     }
@@ -86,11 +89,12 @@ void write_report(std::ostream& md, core::FlarePipeline& pipeline,
   // With replay faults injected the breakdown grows a provenance column and a
   // campaign-health line; without them the report stays byte-identical to the
   // failure-free layout.
-  const bool replay_faults = pipeline.config().replay_faults.enabled;
-  md << "\n## Per-feature behaviour breakdown\n\n";
-  for (const core::Feature& feature : features) {
-    const core::FeatureEstimate est = pipeline.evaluate(feature);
-    md << "### " << feature.name() << "\n\n" << feature.description() << "\n\n";
+  const bool replay_faults = shard.config().replay_faults.enabled;
+  md << "\n" << h2 << "Per-feature behaviour breakdown\n\n";
+  for (std::size_t f = 0; f < features.size(); ++f) {
+    const core::FeatureEstimate& est = estimates[f].per_shape[index].estimate;
+    md << h3 << features[f].name() << "\n\n"
+       << features[f].description() << "\n\n";
     if (replay_faults) {
       md << "| cluster | weight | impact | replay |\n|---|---|---|---|\n";
     } else {
@@ -124,19 +128,16 @@ void write_report(std::ostream& md, core::FlarePipeline& pipeline,
          << util::format_double(ledger.simulated_seconds / 3600.0, 1) << " h.\n\n";
     }
   }
-  md << "---\nGenerated by `flare report` — representative-scenario "
-        "evaluation after Lee et al., Middleware '23.\n";
 }
 
-// Fleet-mode report: one section per shape, per-feature fleet estimates with
-// the per-shape breakdown, and the fan-in mass line (paper §5.5).
-void write_fleet_report(std::ostream& md, core::ShardedPipeline& pipeline,
-                        const std::vector<core::Feature>& features,
-                        bool with_truth) {
+/// The fleet-wide part of a multi-shape report: the shape table, the fanned-in
+/// estimates and the per-shape contributions with the fan-in mass (§5.5).
+void write_fan_in(std::ostream& md, const core::ShardedPipeline& pipeline,
+                  const std::vector<core::Feature>& features,
+                  const std::vector<core::FleetEstimate>& estimates,
+                  const std::vector<double>& fleet_truths) {
   const dcsim::FleetConfig& fleet = pipeline.fleet();
   const std::vector<double> weights = pipeline.weights();
-
-  md << "# FLARE fleet feature-evaluation report\n\n";
   md << "## Fleet\n\n";
   md << "| shape | machines | weight | scenarios | behaviour groups |\n";
   md << "|---|---|---|---|---|\n";
@@ -153,32 +154,28 @@ void write_fleet_report(std::ostream& md, core::ShardedPipeline& pipeline,
         "numbers in with the population weights above.\n";
 
   md << "\n## Fleet feature estimates\n\n";
+  const bool with_truth = !fleet_truths.empty();
   md << "| feature | fleet estimate";
   if (with_truth) md << " | fleet truth | abs. error";
   md << " | replays |\n|---|---";
   if (with_truth) md << "|---|---";
   md << "|---|\n";
-  for (const core::Feature& feature : features) {
-    const core::FleetEstimate est = pipeline.evaluate(feature);
-    md << "| " << feature.name() << " | " << pct(est.impact_pct);
+  for (std::size_t f = 0; f < features.size(); ++f) {
+    const core::FleetEstimate& est = estimates[f];
+    md << "| " << features[f].name() << " | " << pct(est.impact_pct);
     if (with_truth) {
-      double truth = 0.0;
-      for (std::size_t i = 0; i < pipeline.num_shards(); ++i) {
-        const baselines::FullDatacenterEvaluator shard_truth(
-            pipeline.shard(i).impact_model(),
-            pipeline.shard(i).scenario_set());
-        truth += weights[i] * shard_truth.evaluate(feature).impact_pct;
-      }
-      md << " | " << pct(truth) << " | "
-         << util::format_double(std::abs(est.impact_pct - truth), 2) << " pp";
+      md << " | " << pct(fleet_truths[f]) << " | "
+         << util::format_double(std::abs(est.impact_pct - fleet_truths[f]), 2)
+         << " pp";
     }
     md << " | " << est.scenario_replays << " |\n";
   }
 
   md << "\n## Per-shape breakdown\n\n";
-  for (const core::Feature& feature : features) {
-    const core::FleetEstimate est = pipeline.evaluate(feature);
-    md << "### " << feature.name() << "\n\n" << feature.description() << "\n\n";
+  for (std::size_t f = 0; f < features.size(); ++f) {
+    const core::FleetEstimate& est = estimates[f];
+    md << "### " << features[f].name() << "\n\n"
+       << features[f].description() << "\n\n";
     md << "| shape | weight | impact | contribution |\n|---|---|---|---|\n";
     for (const core::ShardFeatureEstimate& s : est.per_shape) {
       md << "| `" << s.shape << "` | "
@@ -195,8 +192,38 @@ void write_fleet_report(std::ostream& md, core::ShardedPipeline& pipeline,
        << " % (total "
        << util::format_double(100.0 * ledger.total_mass(), 1) << " %).\n\n";
   }
-  md << "---\nGenerated by `flare report --shapes` — sharded heterogeneous-"
-        "fleet evaluation after Lee et al., Middleware '23 §5.5.\n";
+}
+
+/// The evaluation report: with more than one shape, the fleet table, the
+/// fanned-in estimates and the per-shape breakdown (paper §5.5) come first;
+/// then one section per shape. Every feature is evaluated — and its replays
+/// billed — exactly once.
+void write_report(std::ostream& md, core::ShardedPipeline& pipeline,
+                  const std::vector<core::Feature>& features,
+                  bool with_truth) {
+  std::vector<core::FleetEstimate> estimates;
+  std::vector<std::vector<double>> truths(features.size());
+  std::vector<double> fleet_truths;
+  for (std::size_t f = 0; f < features.size(); ++f) {
+    estimates.push_back(pipeline.evaluate(features[f]));
+    if (with_truth) {
+      fleet_truths.push_back(fleet_truth(pipeline, features[f], &truths[f]));
+    }
+  }
+
+  const bool fan_in = pipeline.num_shards() > 1;
+  md << "# FLARE " << (fan_in ? "fleet " : "") << "feature-evaluation report\n\n";
+  if (fan_in) write_fan_in(md, pipeline, features, estimates, fleet_truths);
+  for (std::size_t i = 0; i < pipeline.num_shards(); ++i) {
+    const core::FlarePipeline& shard = pipeline.shard(i);
+    if (fan_in) md << "## Shape `" << shard.config().machine.name << "`\n\n";
+    write_shape_report(md, shard, i, features, estimates, truths,
+                       with_truth, fan_in ? "### " : "## ", fan_in ? "#### " : "### ");
+  }
+  md << "---\nGenerated by `flare report"
+     << (fan_in ? " --shapes` — sharded heterogeneous-fleet evaluation"
+                : "` — representative-scenario evaluation")
+     << " after Lee et al., Middleware '23" << (fan_in ? " §5.5" : "") << ".\n";
 }
 
 // Campaign-mode report: answer from an archived CampaignState (written by
@@ -287,9 +314,8 @@ int run_report(const Args& args, std::ostream& out) {
   const std::string out_path = args.require_string("out");
   const std::string feature_list = args.get_string("features", "feature1;feature2;feature3");
   const bool with_truth = args.get_flag("truth");
-  const std::optional<dcsim::FleetConfig> fleet = fleet_from(args);
+  const dcsim::FleetConfig fleet = fleet_or_machine(args);
   core::FlareConfig config;
-  config.machine = machine_by_name(args.get_string("machine", "default"));
   const long long clusters = args.get_int("clusters", 18);
   ensure(clusters >= 2, "--clusters must be >= 2");
   config.analyzer.fixed_clusters = static_cast<std::size_t>(clusters);
@@ -306,49 +332,32 @@ int run_report(const Args& args, std::ostream& out) {
   }
   ensure(!features.empty(), "report: no features given");
 
-  if (fleet.has_value()) {
-    const dcsim::ScenarioSet mixed =
-        trace::load_scenario_set(scenarios_path, fleet->shape_names());
-    core::ShardedConfig sharded;
-    sharded.base = config;
-    sharded.fleet = *fleet;
-    core::ShardedPipeline pipeline(sharded);
-    pipeline.fit(mixed);
-
-    std::ofstream md(out_path);
-    ensure(static_cast<bool>(md),
-           "report: cannot open output file: " + out_path);
-    write_fleet_report(md, pipeline, features, with_truth);
-    ensure(static_cast<bool>(md), "report: write failed: " + out_path);
-
-    std::size_t representatives = 0;
-    for (std::size_t i = 0; i < pipeline.num_shards(); ++i) {
-      representatives += pipeline.shard(i).analysis().chosen_k;
-    }
-    out << "evaluated " << features.size() << " feature(s) on "
-        << representatives << " representatives across "
-        << pipeline.num_shards() << " shards ("
-        << pipeline.scenario_replays() << " replays total)\n";
-    out << "wrote " << out_path << "\n";
-    return 0;
-  }
-
-  const dcsim::ScenarioSet set = trace::load_scenario_set(scenarios_path);
-  core::FlarePipeline pipeline(config);
-  pipeline.fit(set);
-
+  core::ShardedPipeline pipeline = fit_fleet(scenarios_path, fleet, config);
   std::ofstream md(out_path);
   ensure(static_cast<bool>(md), "report: cannot open output file: " + out_path);
-  write_report(md, pipeline, set, features, with_truth);
+  write_report(md, pipeline, features, with_truth);
   ensure(static_cast<bool>(md), "report: write failed: " + out_path);
 
+  std::size_t representatives = 0;
+  std::size_t attempts = 0;
+  std::size_t failed = 0;
+  double testbed_seconds = 0.0;
+  for (std::size_t i = 0; i < pipeline.num_shards(); ++i) {
+    const core::FlarePipeline& shard = pipeline.shard(i);
+    representatives += shard.analysis().chosen_k;
+    attempts += shard.replayer().total_replays();
+    failed += shard.replayer().failed_replays();
+    testbed_seconds += shard.replayer().simulated_seconds();
+  }
   out << "evaluated " << features.size() << " feature(s) on "
-      << pipeline.analysis().chosen_k << " representatives ("
-      << pipeline.scenario_replays() << " replays total)\n";
+      << representatives << " representatives";
+  if (pipeline.num_shards() > 1) {
+    out << " across " << pipeline.num_shards() << " shards";
+  }
+  out << " (" << pipeline.scenario_replays() << " replays total)\n";
   if (config.replay_faults.enabled) {
-    out << "replay attempts: " << pipeline.replayer().total_replays() << " ("
-        << pipeline.replayer().failed_replays() << " failed, "
-        << util::format_double(pipeline.replayer().simulated_seconds() / 3600.0, 1)
+    out << "replay attempts: " << attempts << " (" << failed << " failed, "
+        << util::format_double(testbed_seconds / 3600.0, 1)
         << " h simulated testbed time)\n";
   }
   out << "wrote " << out_path << "\n";

@@ -2,11 +2,8 @@
 #include "core/out_of_core.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <cstring>
 #include <limits>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,10 +22,6 @@ namespace {
 // splice into an in-RAM lineage — a distinct root makes collision impossible
 // by construction.
 constexpr std::uint64_t kOutOfCoreTag = 0x00C5EED0FC0DE5ULL;
-
-// Cache stage names (see StageOutputCache: keys are (stage, fingerprint)).
-constexpr std::string_view kMomentsStage = "ooc-moments";
-constexpr std::string_view kScoresStage = "ooc-scores";
 
 /// Streaming per-column statistics over the whole store: extrema, mean and
 /// the full d × d comoment matrix  C(i,j) = Σ (x_i - μ_i)(x_j - μ_j),
@@ -83,40 +76,6 @@ void fold_block(StreamedMoments& m, const linalg::Matrix& values,
   m.count += rows;
 }
 
-/// Packs the streamed moments into one cacheable matrix:
-///   row 0 = mean, row 1 = lo, row 2 = hi,
-///   row 3 = [count, bit_cast(content_hash), 0, ...],
-///   rows 4.. = the d × d comoment.
-linalg::Matrix pack_moments(const StreamedMoments& m) {
-  const std::size_t d = m.mean.size();
-  linalg::Matrix packed(d + 4, d);
-  packed.set_row(0, m.mean);
-  packed.set_row(1, m.lo);
-  packed.set_row(2, m.hi);
-  packed(3, 0) = static_cast<double>(m.count);
-  if (d >= 2) packed(3, 1) = std::bit_cast<double>(m.content_hash);
-  for (std::size_t i = 0; i < d; ++i) {
-    packed.set_row(4 + i, m.comoment.row(i));
-  }
-  return packed;
-}
-
-bool unpack_moments(const linalg::Matrix& packed, std::size_t d,
-                    StreamedMoments& m) {
-  if (d < 2 || packed.rows() != d + 4 || packed.cols() != d) return false;
-  const std::span<const double> mean = packed.row(0);
-  const std::span<const double> lo = packed.row(1);
-  const std::span<const double> hi = packed.row(2);
-  m.mean.assign(mean.begin(), mean.end());
-  m.lo.assign(lo.begin(), lo.end());
-  m.hi.assign(hi.begin(), hi.end());
-  m.count = static_cast<std::size_t>(packed(3, 0));
-  m.content_hash = std::bit_cast<std::uint64_t>(packed(3, 1));
-  m.comoment = linalg::Matrix(d, d);
-  for (std::size_t i = 0; i < d; ++i) m.comoment.set_row(i, packed.row(4 + i));
-  return m.count >= 2;
-}
-
 /// Pearson r of two (original-index) columns from the comoment matrix.
 double correlation_from_comoment(const linalg::Matrix& comoment, std::size_t i,
                                  std::size_t j) {
@@ -155,8 +114,6 @@ std::uint64_t ooc_cluster_fingerprint(std::uint64_t whiten_fp,
   return h;
 }
 
-std::uint64_t nonzero(std::uint64_t h) { return h == 0 ? 1 : h; }
-
 }  // namespace
 
 AnalysisResult analyze_out_of_core(const metrics::ColumnStore& store,
@@ -175,54 +132,33 @@ AnalysisResult analyze_out_of_core(const metrics::ColumnStore& store,
   tel = OutOfCoreTelemetry{};
   tel.dense_bytes = n * d * sizeof(double);
 
-  // ---- Pass 1: moments (or a cache hit keyed by the store's structure) ----
-  // The shard lineage tag namespaces every out-of-core key and fingerprint:
-  // per-shape OOC analyses sharing one cache/spill directory stay disjoint
-  // (tag 0 = unsharded, keys unchanged).
+  // ---- Pass 1: moments ----
+  // The shard lineage tag namespaces every out-of-core fingerprint
+  // (tag 0 = unsharded, fingerprints unchanged).
   const std::uint64_t root = config.lineage_tag != 0
                                  ? util::hash_mix(kOutOfCoreTag, config.lineage_tag)
                                  : kOutOfCoreTag;
-  const std::uint64_t moments_key = nonzero(util::hash_mix(
-      util::hash_mix(root, store.structural_signature()),
-      metrics::catalog_hash(store.catalog())));
   StreamedMoments moments;
+  moments.mean.assign(d, 0.0);
+  moments.lo.assign(d, std::numeric_limits<double>::infinity());
+  moments.hi.assign(d, -std::numeric_limits<double>::infinity());
+  moments.comoment = linalg::Matrix(d, d);
+  moments.content_hash = util::kFnvOffsetBasis;
   std::vector<double> weights;
-  bool have_moments = false;
-  if (options.cache != nullptr) {
-    if (std::optional<linalg::Matrix> packed =
-            options.cache->get(kMomentsStage, moments_key)) {
-      have_moments = unpack_moments(*packed, d, moments) && moments.count == n;
-      tel.moments_reused = have_moments;
-    }
-  }
-  if (have_moments) {
-    weights = store.weights();
-  } else {
-    moments.count = 0;
-    moments.mean.assign(d, 0.0);
-    moments.lo.assign(d, std::numeric_limits<double>::infinity());
-    moments.hi.assign(d, -std::numeric_limits<double>::infinity());
-    moments.comoment = linalg::Matrix(d, d);
-    moments.content_hash = util::kFnvOffsetBasis;
-    weights.reserve(n);
-    store.for_each_block([&](std::size_t /*first_row*/,
-                             const linalg::Matrix& values,
-                             std::span<const double> w) {
-      moments.content_hash = fingerprint_matrix(values, moments.content_hash);
-      moments.content_hash = util::fnv1a(
-          std::string_view(reinterpret_cast<const char*>(w.data()),
-                           w.size() * sizeof(double)),
-          util::hash_mix(moments.content_hash, w.size()));
-      fold_block(moments, values, pool);
-      weights.insert(weights.end(), w.begin(), w.end());
-      ++tel.blocks_streamed;
-    });
-    ++tel.passes;
-    if (options.cache != nullptr) {
-      options.cache->put(kMomentsStage, moments_key, pack_moments(moments),
-                         options.drift_priority);
-    }
-  }
+  weights.reserve(n);
+  store.for_each_block([&](std::size_t /*first_row*/,
+                           const linalg::Matrix& values,
+                           std::span<const double> w) {
+    moments.content_hash = fingerprint_matrix(values, moments.content_hash);
+    moments.content_hash = util::fnv1a(
+        std::string_view(reinterpret_cast<const char*>(w.data()),
+                         w.size() * sizeof(double)),
+        util::hash_mix(moments.content_hash, w.size()));
+    fold_block(moments, values, pool);
+    weights.insert(weights.end(), w.begin(), w.end());
+    ++tel.blocks_streamed;
+  });
+  ++tel.passes;
   tel.content_hash = moments.content_hash;
 
   AnalysisResult result;
@@ -311,40 +247,20 @@ AnalysisResult analyze_out_of_core(const metrics::ColumnStore& store,
         std::to_string(options.memory_budget_bytes) + " bytes");
   }
 
-  // ---- Pass 2: project every block into the score matrix (or reload) ----
-  std::uint64_t scores_key = util::hash_mix(root, moments.content_hash);
-  scores_key = util::hash_mix(scores_key, config.use_correlation_filter ? 1u : 0u);
-  scores_key = hash_mix(scores_key, config.correlation_threshold);
-  scores_key = nonzero(hash_mix(scores_key, config.variance_target));
-  linalg::Matrix scores;
-  if (options.cache != nullptr) {
-    if (std::optional<linalg::Matrix> cached =
-            options.cache->get(kScoresStage, scores_key)) {
-      if (cached->rows() == n && cached->cols() == result.num_components) {
-        scores = std::move(*cached);
-        tel.scores_reused = true;
-      }
+  // ---- Pass 2: project every block into the score matrix ----
+  linalg::Matrix scores(n, result.num_components);
+  store.for_each_block([&](std::size_t first_row, const linalg::Matrix& values,
+                           std::span<const double> /*w*/) {
+    const linalg::Matrix block_scores = result.pca.transform(
+        result.standardizer.transform(
+            values.select_columns(result.kept_columns)),
+        result.num_components);
+    for (std::size_t r = 0; r < block_scores.rows(); ++r) {
+      scores.set_row(first_row + r, block_scores.row(r));
     }
-  }
-  if (scores.empty()) {
-    scores = linalg::Matrix(n, result.num_components);
-    store.for_each_block([&](std::size_t first_row, const linalg::Matrix& values,
-                             std::span<const double> /*w*/) {
-      const linalg::Matrix block_scores = result.pca.transform(
-          result.standardizer.transform(
-              values.select_columns(result.kept_columns)),
-          result.num_components);
-      for (std::size_t r = 0; r < block_scores.rows(); ++r) {
-        scores.set_row(first_row + r, block_scores.row(r));
-      }
-      ++tel.blocks_streamed;
-    });
-    ++tel.passes;
-    if (options.cache != nullptr) {
-      options.cache->put(kScoresStage, scores_key, scores,
-                         options.drift_priority);
-    }
-  }
+    ++tel.blocks_streamed;
+  });
+  ++tel.passes;
 
   // ---- Whiten → cluster → representatives on the compact matrix, exactly
   // as the in-RAM stages run them. ----

@@ -23,12 +23,6 @@
 //   Whitening, the cluster sweep and representative extraction then run on
 //   that compact matrix exactly as the in-RAM stages do.
 //
-// Both passes can be skipped via an optional StageOutputCache: the packed
-// moment matrix is keyed by the store's structural signature (append-aware),
-// the raw score matrix by the content hash chained with the refine/PCA knobs.
-// Equal keys imply bit-equal reloads, so a re-analysis of an unchanged store
-// costs two cache probes and the (sub-linear) cluster stage.
-//
 // The result is a fully populated AnalysisResult — representatives, cluster
 // weights, quality curve, fitted transforms — whose fingerprints are chained
 // from a *distinct* out-of-core seed: numerically the fit matches the in-RAM
@@ -43,7 +37,6 @@
 #include <cstdint>
 
 #include "core/analyzer.hpp"
-#include "core/stage_cache.hpp"
 #include "metrics/column_store.hpp"
 
 namespace flare::core {
@@ -54,20 +47,12 @@ struct OutOfCoreOptions {
   /// cannot fit, the analysis throws NumericalError up front instead of
   /// thrashing.
   std::size_t memory_budget_bytes = 0;
-  /// Optional spill cache for the moment and score intermediates (owned by
-  /// the caller; shared across analyses and processes via its spill_dir).
-  StageOutputCache* cache = nullptr;
-  /// Eviction priority for intermediates this analysis inserts — the
-  /// caller's incremental-PCA drift fraction (see StageOutputCache).
-  double drift_priority = 0.0;
 };
 
 struct OutOfCoreTelemetry {
   std::size_t passes = 0;           ///< streaming passes actually executed
   std::size_t blocks_streamed = 0;  ///< blocks decoded across those passes
   std::uint64_t content_hash = 0;   ///< chained hash of every value + weight
-  bool moments_reused = false;      ///< pass 1 skipped (cache hit)
-  bool scores_reused = false;       ///< pass 2 skipped (cache hit)
   std::size_t dense_bytes = 0;      ///< what the n × d matrix would have cost
   std::size_t resident_bytes = 0;   ///< peak score/cluster-space residency
 };

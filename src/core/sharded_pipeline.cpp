@@ -177,6 +177,13 @@ bool ShardedPipeline::shard_has_job(std::size_t index,
   return false;
 }
 
+bool ShardedPipeline::has_job(dcsim::JobType job) const {
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    if (shard_has_job(i, job)) return true;
+  }
+  return false;
+}
+
 bool ShardedPipeline::fitted() const {
   if (shards_.empty()) return false;
   for (const auto& shard : shards_) {

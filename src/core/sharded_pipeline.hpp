@@ -98,6 +98,10 @@ class ShardedPipeline {
   [[nodiscard]] FleetPerJobEstimate evaluate_per_job(const Feature& feature,
                                                      dcsim::JobType job);
 
+  /// True if any shape's fitted population ran `job` — i.e. whether
+  /// evaluate_per_job has a population to speak for.
+  [[nodiscard]] bool has_job(dcsim::JobType job) const;
+
   [[nodiscard]] bool fitted() const;
   [[nodiscard]] std::size_t num_shards() const { return shards_.size(); }
   [[nodiscard]] const FlarePipeline& shard(std::size_t index) const;
@@ -114,7 +118,7 @@ class ShardedPipeline {
   [[nodiscard]] std::uint64_t shard_lineage_tag(std::size_t index) const;
 
   /// The tag derivation itself, for callers running per-shape analyses
-  /// outside a ShardedPipeline (e.g. `flare analyze --shapes`): nonzero mix
+  /// outside a ShardedPipeline (e.g. `flare analyze`): nonzero mix
   /// of the shape name and its fleet-table index.
   [[nodiscard]] static std::uint64_t lineage_tag_for(std::string_view shape_name,
                                                      std::size_t index);

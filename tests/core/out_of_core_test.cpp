@@ -129,55 +129,24 @@ TEST_F(OutOfCoreTest, FingerprintsNeverSpliceWithInRamLineage) {
   EXPECT_NE(ooc.fingerprints.representatives, 0u);
 }
 
-TEST_F(OutOfCoreTest, CacheSkipsBothPassesAndReloadsBitIdentically) {
-  const AnalyzerConfig config = small_config();
-  const metrics::ColumnStore store(path_, catalog_);
-  StageOutputCache cache;
-  OutOfCoreOptions options;
-  options.cache = &cache;
-
-  OutOfCoreTelemetry cold;
-  const AnalysisResult first =
-      analyze_out_of_core(store, config, options, nullptr, &cold);
-  EXPECT_EQ(cold.passes, 2u);
-  EXPECT_FALSE(cold.moments_reused);
-  EXPECT_FALSE(cold.scores_reused);
-
-  OutOfCoreTelemetry warm;
-  const AnalysisResult second =
-      analyze_out_of_core(store, config, options, nullptr, &warm);
-  EXPECT_EQ(warm.passes, 0u);
-  EXPECT_TRUE(warm.moments_reused);
-  EXPECT_TRUE(warm.scores_reused);
-  EXPECT_EQ(warm.content_hash, cold.content_hash);
-
-  // A cache hit is the bit-exact intermediate: everything downstream is
-  // bit-identical too.
-  EXPECT_EQ(second.cluster_space.data(), first.cluster_space.data());
-  EXPECT_TRUE(second.fingerprints == first.fingerprints);
-  EXPECT_EQ(second.representatives, first.representatives);
-  EXPECT_EQ(second.clustering.assignment, first.clustering.assignment);
-}
-
 TEST_F(OutOfCoreTest, AppendInvalidatesTheMomentKey) {
   const AnalyzerConfig config = small_config();
-  StageOutputCache cache;
-  OutOfCoreOptions options;
-  options.cache = &cache;
+  std::uint64_t signature_before = 0;
   {
     const metrics::ColumnStore store(path_, catalog_);
-    (void)analyze_out_of_core(store, config, options);
+    signature_before = store.structural_signature();
+    (void)analyze_out_of_core(store, config);
   }
   metrics::append_column_store_rows(
       path_, make_population(catalog_, 40, /*seed=*/99));
   const metrics::ColumnStore grown(path_, catalog_);
   OutOfCoreTelemetry telemetry;
   const AnalysisResult result =
-      analyze_out_of_core(grown, config, options, nullptr, &telemetry);
-  // The structural signature changed, so the cached moments must not be
-  // reused for the grown store.
+      analyze_out_of_core(grown, config, {}, nullptr, &telemetry);
+  // The append changed the store's structural signature, and the re-analysis
+  // streams both passes over the grown store.
+  EXPECT_NE(grown.structural_signature(), signature_before);
   EXPECT_EQ(telemetry.passes, 2u);
-  EXPECT_FALSE(telemetry.moments_reused);
   EXPECT_EQ(result.cluster_space.rows(), 440u);
 }
 

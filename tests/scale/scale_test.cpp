@@ -2,15 +2,12 @@
 //
 //   - a 50 000-row population fits and analyses through the mmap-backed
 //     ColumnStore without ever materialising the dense matrix;
-//   - spilled intermediates round-trip bit-identically through the
-//     StageOutputCache, so a warm re-analysis streams zero passes;
 //   - the coreset (minibatch) K-means path certifies co-membership ≥ 0.9
 //     against the exact solver at the paper's population size (n = 895)
 //     under the seeded property harness.
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -93,18 +90,13 @@ AnalyzerConfig scale_config() {
 
 class ScaleTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    std::remove(store_path_.c_str());
-    std::filesystem::remove_all(spill_dir_);
-  }
+  void TearDown() override { std::remove(store_path_.c_str()); }
   // Unique per test: ctest runs each TEST_F as its own process, so sibling
   // tests sharing one literal path clobber each other under `ctest -j`.
   std::string test_name_ =
       ::testing::UnitTest::GetInstance()->current_test_info()->name();
   std::string store_path_ =
       ::testing::TempDir() + "/flare_scale_store_" + test_name_ + ".fcs";
-  std::string spill_dir_ =
-      ::testing::TempDir() + "/flare_scale_spill_" + test_name_;
 };
 
 TEST_F(ScaleTest, FiftyThousandRowsAnalyseThroughMmap) {
@@ -144,41 +136,6 @@ TEST_F(ScaleTest, FiftyThousandRowsAnalyseThroughMmap) {
   for (std::size_t i = 0; i < kScaleRows; ++i) truth[i] = i % kScaleBlobs;
   EXPECT_GE(ml::comembership_agreement(result.clustering.assignment, truth),
             0.9);
-}
-
-TEST_F(ScaleTest, SpilledIntermediatesRoundTripBitIdentically) {
-  const metrics::MetricCatalog catalog = scale_catalog(kScaleMetrics);
-  build_scale_store(store_path_, catalog, kScaleRows, kScaleBlobs, /*seed=*/22);
-  const metrics::ColumnStore store(store_path_, catalog);
-
-  // Budget far below the score matrix → every intermediate must spill.
-  StageCacheConfig cache_config;
-  cache_config.memory_budget_bytes = 1u << 20;
-  cache_config.spill_dir = spill_dir_;
-  StageOutputCache cache(cache_config);
-  OutOfCoreOptions options;
-  options.cache = &cache;
-
-  util::ThreadPool pool(4);
-  OutOfCoreTelemetry cold;
-  const AnalysisResult first =
-      analyze_out_of_core(store, scale_config(), options, &pool, &cold);
-  EXPECT_EQ(cold.passes, 2u);
-  EXPECT_GT(cache.stats().spills, 0u);
-
-  OutOfCoreTelemetry warm;
-  const AnalysisResult second =
-      analyze_out_of_core(store, scale_config(), options, &pool, &warm);
-  EXPECT_EQ(warm.passes, 0u);
-  EXPECT_TRUE(warm.moments_reused);
-  EXPECT_TRUE(warm.scores_reused);
-  EXPECT_GT(cache.stats().reloads, 0u);
-
-  // Disk round trip changed nothing: bit-identical analysis.
-  EXPECT_EQ(second.cluster_space.data(), first.cluster_space.data());
-  EXPECT_EQ(second.representatives, first.representatives);
-  EXPECT_EQ(second.clustering.assignment, first.clustering.assignment);
-  EXPECT_TRUE(second.fingerprints == first.fingerprints);
 }
 
 // Paper-scale co-membership certification: at n = 895 (the population of the

@@ -1,8 +1,10 @@
 // ShardedPipeline behaviour tests (ctest label `shard`):
 //
 //   1. A one-shape ShardedPipeline is bit-identical to a plain FlarePipeline
-//      over the same rows — sharding must cost exactly nothing when the
-//      fleet is homogeneous.
+//      over the same rows — fit, evaluate, validation, per-job, ingest and
+//      replay campaigns, clean and under replay faults. Sharding must cost
+//      exactly nothing when the fleet is homogeneous; the CLI relies on it
+//      to run every single-shape command as a one-shape fleet.
 //   2. Drift isolation: a batch routed entirely to shape A leaves shape B's
 //      pipeline untouched (no stage re-runs, centroids bit-equal).
 //   3. Fan-in mass conservation: the fleet ledger sums to 1, with and
@@ -15,6 +17,7 @@
 
 #include <vector>
 
+#include "core/campaign.hpp"
 #include "dcsim/replay_faults.hpp"
 #include "tests/util/fleet_env.hpp"
 #include "util/error.hpp"
@@ -30,11 +33,32 @@ dcsim::ScenarioSet default_shape_rows(std::uint64_t seed,
   return dcsim::generate_scenario_set(config, dcsim::default_machine());
 }
 
-ShardedConfig one_shape_config() {
+ShardedConfig one_shape_config(const FlareConfig& base =
+                                    testing::shard_flare_config()) {
   ShardedConfig config;
-  config.base = testing::shard_flare_config();
+  config.base = base;
   config.fleet.shapes.push_back({dcsim::machine_shape_by_name("default"), 4});
   return config;
+}
+
+/// The shard test config, clean or with every replay fault class at 20 %.
+FlareConfig replay_config(bool faulty) {
+  FlareConfig config = testing::shard_flare_config();
+  if (faulty) config.replay_faults = dcsim::ReplayFaultOptions::uniform(0.20);
+  return config;
+}
+
+void expect_ledgers_bit_identical(const ReplayLedger& a, const ReplayLedger& b) {
+  EXPECT_EQ(a.direct_mass, b.direct_mass);
+  EXPECT_EQ(a.fallback_mass, b.fallback_mass);
+  EXPECT_EQ(a.quarantined_mass, b.quarantined_mass);
+  EXPECT_EQ(a.pending_mass, b.pending_mass);
+  EXPECT_EQ(a.total_attempts, b.total_attempts);
+  EXPECT_EQ(a.failed_attempts, b.failed_attempts);
+  EXPECT_EQ(a.fallback_probes, b.fallback_probes);
+  EXPECT_EQ(a.measurement_uncertainty_pp, b.measurement_uncertainty_pp);
+  EXPECT_EQ(a.quarantine_widening_pp, b.quarantine_widening_pp);
+  EXPECT_EQ(a.simulated_seconds, b.simulated_seconds);
 }
 
 void expect_estimates_bit_identical(const FeatureEstimate& a,
@@ -109,6 +133,84 @@ TEST(OneShapeBitIdentity, IngestMatchesFlarePipeline) {
   EXPECT_EQ(routed.drift.distance_ratio, direct.drift.distance_ratio);
   EXPECT_EQ(routed.pca_drift, direct.pca_drift);
   expect_analyses_bit_identical(plain.analysis(), sharded.shard(0).analysis());
+}
+
+TEST(OneShapeBitIdentity, ValidationMatchesFlarePipelineUnderReplayFaults) {
+  const dcsim::ScenarioSet rows = default_shape_rows(7);
+  FlarePipeline plain(replay_config(/*faulty=*/true));
+  plain.fit(rows);
+  ShardedPipeline sharded(one_shape_config(replay_config(/*faulty=*/true)));
+  sharded.fit(rows);
+
+  const ValidatedFeatureEstimate vd =
+      plain.evaluate_with_validation(feature_dvfs_cap());
+  const ValidatedFleetEstimate vf =
+      sharded.evaluate_with_validation(feature_dvfs_cap());
+  EXPECT_EQ(vf.estimate.impact_pct, vd.estimate.impact_pct);
+  EXPECT_EQ(vf.validation_impact_pct, vd.validation_impact_pct);
+  EXPECT_EQ(vf.uncertainty_pp, vd.uncertainty_pp);
+  ASSERT_EQ(vf.per_shape.size(), 1u);
+  expect_estimates_bit_identical(vd.estimate, vf.per_shape[0].estimate.estimate);
+  expect_ledgers_bit_identical(vd.estimate.replay, vf.estimate.replay);
+}
+
+TEST(OneShapeBitIdentity, PerJobMatchesFlarePipelineCleanAndFaulty) {
+  const dcsim::ScenarioSet rows = default_shape_rows(7);
+  for (const bool faulty : {false, true}) {
+    SCOPED_TRACE(faulty ? "replay faults" : "clean");
+    FlarePipeline plain(replay_config(faulty));
+    plain.fit(rows);
+    ShardedPipeline sharded(one_shape_config(replay_config(faulty)));
+    sharded.fit(rows);
+
+    std::size_t compared = 0;
+    for (const dcsim::JobType job : dcsim::hp_job_types()) {
+      bool present = false;
+      for (const dcsim::ColocationScenario& s : rows.scenarios) {
+        present = present || s.mix.count(job) > 0;
+      }
+      if (!present) continue;
+      const PerJobEstimate direct =
+          plain.evaluate_per_job(feature_cache_sizing(), job);
+      const FleetPerJobEstimate fleet =
+          sharded.evaluate_per_job(feature_cache_sizing(), job);
+      EXPECT_EQ(fleet.impact_pct, direct.impact_pct);
+      EXPECT_EQ(fleet.covered_weight, 1.0);
+      ASSERT_TRUE(fleet.per_shape[0].estimate.has_value());
+      EXPECT_EQ(fleet.per_shape[0].estimate->impact_pct, direct.impact_pct);
+      EXPECT_EQ(fleet.scenario_replays, direct.scenario_replays);
+      expect_ledgers_bit_identical(fleet.replay, direct.replay);
+      ++compared;
+    }
+    EXPECT_GT(compared, 0u);
+  }
+}
+
+TEST(OneShapeBitIdentity, CampaignMatchesFlarePipeline) {
+  const dcsim::ScenarioSet rows = default_shape_rows(7);
+  FlarePipeline plain(replay_config(/*faulty=*/true));
+  plain.fit(rows);
+  ShardedPipeline sharded(one_shape_config(replay_config(/*faulty=*/true)));
+  sharded.fit(rows);
+
+  CampaignConfig campaign;
+  campaign.num_testbeds = 3;
+  const CampaignState a = run_campaign(plain, feature_dvfs_cap(), campaign);
+  const CampaignState b = run_campaign(sharded, feature_dvfs_cap(), campaign);
+  EXPECT_EQ(a.stop, b.stop);
+  EXPECT_EQ(a.impact_pct, b.impact_pct);
+  EXPECT_EQ(a.band_pp, b.band_pp);
+  EXPECT_EQ(a.units_completed, b.units_completed);
+  EXPECT_EQ(a.units_failed, b.units_failed);
+  EXPECT_EQ(a.distinct_replays, b.distinct_replays);
+  EXPECT_EQ(a.makespan_seconds, b.makespan_seconds);
+  EXPECT_EQ(a.total_busy_seconds, b.total_busy_seconds);
+  expect_ledgers_bit_identical(a.ledger, b.ledger);
+  ASSERT_EQ(a.checkpoints.size(), b.checkpoints.size());
+  for (std::size_t i = 0; i < a.checkpoints.size(); ++i) {
+    EXPECT_EQ(a.checkpoints[i].impact_pct, b.checkpoints[i].impact_pct);
+    EXPECT_EQ(a.checkpoints[i].band_pp, b.checkpoints[i].band_pp);
+  }
 }
 
 TEST(DriftIsolation, BatchRoutedToShapeANeverTouchesShapeB) {
