@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/pc_labeler.hpp"
+#include "linalg/kernels.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
 #include "util/thread_pool.hpp"
@@ -49,27 +50,24 @@ void fold_block(StreamedMoments& m, const linalg::Matrix& values,
   }
   for (double& v : block_mean) v /= static_cast<double>(rows);
 
-  // Block comoment, then the Chan merge into the running moments. The i-loop
-  // parallelises cleanly: every (i, j) slot is owned by exactly one task and
-  // the serial reduction order within a slot is fixed, so results are
-  // bit-identical for any thread count (the repo-wide contract).
+  // Block comoment from the shared cross-product kernel (bit-identical for
+  // any thread count, the repo-wide contract), then the Chan merge into the
+  // running moments.
+  const linalg::Matrix block_comoment =
+      linalg::centered_cross_products(values, block_mean, pool);
   const double n1 = static_cast<double>(m.count);
   const double n2 = static_cast<double>(rows);
   const double n = n1 + n2;
-  util::maybe_parallel_for(pool, d, [&](std::size_t i) {
+  for (std::size_t i = 0; i < d; ++i) {
+    const double delta_i = block_mean[i] - m.mean[i];
     for (std::size_t j = i; j < d; ++j) {
-      double cij = 0.0;
-      for (std::size_t r = 0; r < rows; ++r) {
-        cij += (values(r, i) - block_mean[i]) * (values(r, j) - block_mean[j]);
-      }
-      const double delta_i = block_mean[i] - m.mean[i];
       const double delta_j = block_mean[j] - m.mean[j];
-      const double merged =
-          m.comoment(i, j) + cij + delta_i * delta_j * n1 * n2 / n;
+      const double merged = m.comoment(i, j) + block_comoment(i, j) +
+                            delta_i * delta_j * n1 * n2 / n;
       m.comoment(i, j) = merged;
       m.comoment(j, i) = merged;
     }
-  });
+  }
   for (std::size_t c = 0; c < d; ++c) {
     m.mean[c] = (n1 * m.mean[c] + n2 * block_mean[c]) / n;
   }

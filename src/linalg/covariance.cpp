@@ -1,7 +1,7 @@
 #include "linalg/covariance.hpp"
 
+#include "linalg/kernels.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace flare::linalg {
 
@@ -19,26 +19,10 @@ std::vector<double> column_means(const Matrix& data) {
 Matrix covariance_matrix(const Matrix& data, util::ThreadPool* pool) {
   ensure(data.rows() >= 2, "covariance_matrix: need at least two observations");
   const std::vector<double> means = column_means(data);
-  const std::size_t n = data.rows();
-  const std::size_t d = data.cols();
-  const double denom = static_cast<double>(n - 1);
-  Matrix cov(d, d);
-  // Each task owns a band of output rows i and scans all observations for
-  // them, so no partial matrices or cross-thread reductions are needed.
-  util::maybe_parallel_for(pool, d, [&](std::size_t i) {
-    double* out = &cov(i, i);
-    const double mi = means[i];
-    for (std::size_t r = 0; r < n; ++r) {
-      const auto row = data.row(r);
-      const double di = row[i] - mi;
-      for (std::size_t j = i; j < d; ++j) {
-        out[j - i] += di * (row[j] - means[j]);
-      }
-    }
-    for (std::size_t j = i; j < d; ++j) out[j - i] /= denom;
-  });
-  for (std::size_t i = 0; i < d; ++i) {
-    for (std::size_t j = i + 1; j < d; ++j) cov(j, i) = cov(i, j);
+  const double denom = static_cast<double>(data.rows() - 1);
+  Matrix cov = centered_cross_products(data, means, pool);
+  for (std::size_t i = 0; i < cov.rows(); ++i) {
+    for (std::size_t j = 0; j < cov.cols(); ++j) cov(i, j) /= denom;
   }
   return cov;
 }

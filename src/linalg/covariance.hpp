@@ -9,9 +9,10 @@ namespace flare::linalg {
 [[nodiscard]] std::vector<double> column_means(const Matrix& data);
 
 /// Unbiased (n-1) sample covariance matrix; data must have >= 2 rows.
-/// The rank-k update is partitioned over *output* rows, so each cov(i, j)
-/// accumulates its n terms in observation order regardless of the thread
-/// count — the result is bit-identical whether `pool` is null or not.
+/// The centred cross-products come from linalg::centered_cross_products, so
+/// each cov(i, j) accumulates its n terms in observation order regardless of
+/// the thread count — the result is bit-identical whether `pool` is null or
+/// not.
 [[nodiscard]] Matrix covariance_matrix(const Matrix& data,
                                        util::ThreadPool* pool = nullptr);
 

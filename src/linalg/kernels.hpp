@@ -1,0 +1,45 @@
+// The two dense kernels behind FLARE's PCA paths (DESIGN.md §7).
+//
+// Both are *exact*: every output slot performs the same floating-point
+// operations, in the same order and from the same 0.0 start, as the naive
+// loop it replaced (those loops survive only as test oracles in
+// tests/linalg/kernels_test.cpp). The speed comes from memory layout and
+// register tiling across independent slots, never from reassociating a sum,
+// so results are bit for bit those of the naive loops, for any thread count.
+#pragma once
+
+#include <cstddef>
+#include <span>
+
+#include "linalg/matrix.hpp"
+
+namespace flare::linalg {
+
+/// Centred cross-products (a tiled SYRK):
+///   S(i, j) = Σ_r (data(r, i) − means[i]) · (data(r, j) − means[j]),
+/// each slot summed over rows in ascending order starting from 0.0. The
+/// result is symmetric (the lower triangle mirrors the upper). Rows are
+/// centred once, 256 at a time, into a zero-padded panel of 4-column groups;
+/// the upper triangle accumulates in 4 × 4 register tiles while each chunk
+/// streams past. Tasks own whole tile-rows of the output, so `pool` changes
+/// no bit.
+/// Callers: covariance_matrix (means = column means), the out-of-core
+/// comoment fold (block means) and Pca::update's Gram matrix (means = 0).
+[[nodiscard]] Matrix centered_cross_products(const Matrix& data,
+                                             std::span<const double> means,
+                                             util::ThreadPool* pool = nullptr);
+
+/// Row × matrix (a row panel):
+///   out(r, j) = Σ_k (a(r, k) − centre[k]) · b(k, j)   for j < cols,
+/// computed as out(r, :) += x(r, k) · b(k, :) with k ascending, so each slot
+/// sums over k in order from 0.0 while the inner loop over j is contiguous
+/// and vectorises. An empty `centre` means no centring. Tasks own output
+/// rows, so `pool` changes no bit.
+/// Callers: Matrix::multiply (no centre), Pca::transform (centre = PCA
+/// mean, cols = kept components) and Pca::update (centre = batch mean).
+[[nodiscard]] Matrix centered_product(const Matrix& a,
+                                      std::span<const double> centre,
+                                      const Matrix& b, std::size_t cols,
+                                      util::ThreadPool* pool = nullptr);
+
+}  // namespace flare::linalg

@@ -4,8 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "linalg/kernels.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace flare::linalg {
 
@@ -86,20 +86,7 @@ Matrix Matrix::transposed() const {
 
 Matrix Matrix::multiply(const Matrix& other, util::ThreadPool* pool) const {
   ensure(cols_ == other.rows_, "Matrix::multiply: inner dimension mismatch");
-  Matrix out(rows_, other.cols_);
-  // Transposing B makes every (i, j) inner product stream two contiguous
-  // rows, which beats the strided i-k-j walk once B stops fitting in cache.
-  const Matrix bt = other.transposed();
-  util::maybe_parallel_for(pool, rows_, [&](std::size_t i) {
-    const auto a = row(i);
-    for (std::size_t j = 0; j < bt.rows_; ++j) {
-      const auto b = bt.row(j);
-      double sum = 0.0;
-      for (std::size_t k = 0; k < cols_; ++k) sum += a[k] * b[k];
-      out(i, j) = sum;
-    }
-  });
-  return out;
+  return centered_product(*this, {}, other, other.cols_, pool);
 }
 
 std::vector<double> Matrix::multiply(std::span<const double> x) const {
@@ -143,10 +130,12 @@ double Matrix::max_abs_diff(const Matrix& other) const {
 }
 
 Matrix Matrix::select_columns(std::span<const std::size_t> keep) const {
+  for (const std::size_t c : keep) {
+    ensure(c < cols_, "Matrix::select_columns: index out of range");
+  }
   Matrix out(rows_, keep.size());
   for (std::size_t r = 0; r < rows_; ++r) {
     for (std::size_t k = 0; k < keep.size(); ++k) {
-      ensure(keep[k] < cols_, "Matrix::select_columns: index out of range");
       out(r, k) = (*this)(r, keep[k]);
     }
   }

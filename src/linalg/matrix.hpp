@@ -61,11 +61,11 @@ class Matrix {
 
   [[nodiscard]] Matrix transposed() const;
 
-  /// Matrix product; cols() must equal other.rows(). Works on a transposed
-  /// copy of `other` so both inner loops stream contiguous memory, and
-  /// optionally computes output rows in parallel on `pool` (each output
-  /// element sums over k in ascending order regardless, so the result is
-  /// identical for every thread count).
+  /// Matrix product; cols() must equal other.rows(). Runs the row-panel
+  /// kernel (linalg::centered_product with no centre), optionally computing
+  /// output rows in parallel on `pool` (each output element sums over k in
+  /// ascending order regardless, so the result is identical for every
+  /// thread count).
   [[nodiscard]] Matrix multiply(const Matrix& other,
                                 util::ThreadPool* pool = nullptr) const;
 

@@ -5,6 +5,7 @@
 
 #include "linalg/covariance.hpp"
 #include "linalg/eigen.hpp"
+#include "linalg/kernels.hpp"
 #include "ml/standardizer.hpp"
 #include "util/error.hpp"
 
@@ -39,27 +40,6 @@ void fix_component_signs(linalg::Matrix& vectors) {
 /// eigenvalue deviation vs a zero-skip solve is ~3e-13 at the paper scale,
 /// five decades inside the property-tested 1e-8 explained-variance bound.
 constexpr double kWarmRotationSkip = 1e-10;
-
-/// Gram matrix YᵀY exploiting symmetry: accumulates the upper triangle row by
-/// row and mirrors it, roughly halving the flops of a general multiply (and
-/// skipping the explicit transpose copy).
-linalg::Matrix gram_matrix(const linalg::Matrix& y) {
-  const std::size_t rows = y.rows();
-  const std::size_t d = y.cols();
-  linalg::Matrix m(d, d);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const auto row = y.row(r);
-    for (std::size_t i = 0; i < d; ++i) {
-      const double yi = row[i];
-      if (yi == 0.0) continue;
-      for (std::size_t j = i; j < d; ++j) m(i, j) += yi * row[j];
-    }
-  }
-  for (std::size_t i = 0; i < d; ++i) {
-    for (std::size_t j = i + 1; j < d; ++j) m(j, i) = m(i, j);
-  }
-  return m;
-}
 
 }  // namespace
 
@@ -136,13 +116,8 @@ PcaUpdateStats Pca::update(const linalg::Matrix& batch,
 
   // Batch deviations about the batch mean, rotated into the eigenbasis:
   // Y = (X₂ − 1μ₂ᵀ)·V.
-  linalg::Matrix centered(batch.rows(), d);
-  for (std::size_t r = 0; r < batch.rows(); ++r) {
-    for (std::size_t c = 0; c < d; ++c) {
-      centered(r, c) = batch(r, c) - mu2[c];
-    }
-  }
-  const linalg::Matrix y = centered.multiply(components_, pool);
+  const linalg::Matrix y =
+      linalg::centered_product(batch, mu2, components_, d, pool);
 
   // Mean-shift direction in the eigenbasis: z = Vᵀ(μ₂ − μ₁).
   std::vector<double> delta(d);
@@ -164,7 +139,8 @@ PcaUpdateStats Pca::update(const linalg::Matrix& batch,
   //   M = [(n₁−1)·diag(λ) + YᵀY + (n₁n₂/n)·zzᵀ] / (n−1).
   // VᵀC₁V = diag(λ) exactly, so M is near-diagonal and the Jacobi solve below
   // is warm. Eigenvectors of the merged covariance are then V·W.
-  linalg::Matrix m = gram_matrix(y);
+  linalg::Matrix m =
+      linalg::centered_cross_products(y, std::vector<double>(d, 0.0), pool);
   const double cross = n1 * n2 / n;
   const double denom = n - 1.0;
   for (std::size_t i = 0; i < d; ++i) {
@@ -260,17 +236,7 @@ linalg::Matrix Pca::transform(const linalg::Matrix& data, std::size_t k) const {
   ensure(fitted(), "Pca::transform: not fitted");
   ensure(data.cols() == dimension(), "Pca::transform: column mismatch");
   ensure(k >= 1 && k <= dimension(), "Pca::transform: invalid component count");
-  linalg::Matrix scores(data.rows(), k);
-  for (std::size_t r = 0; r < data.rows(); ++r) {
-    for (std::size_t j = 0; j < k; ++j) {
-      double s = 0.0;
-      for (std::size_t i = 0; i < dimension(); ++i) {
-        s += (data(r, i) - mean_[i]) * components_(i, j);
-      }
-      scores(r, j) = s;
-    }
-  }
-  return scores;
+  return linalg::centered_product(data, mean_, components_, k);
 }
 
 linalg::Matrix Pca::inverse_transform(const linalg::Matrix& scores) const {

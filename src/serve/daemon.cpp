@@ -138,8 +138,14 @@ void Daemon::publish_snapshot() {
   auto snapshot = std::make_shared<const ModelSnapshot>(
       ModelSnapshot{epoch_.load(), pipeline_.scenario_set(),
                     pipeline_.analysis(), pipeline_.staleness_widening_pp()});
-  std::lock_guard<std::mutex> lock(snapshot_mutex_);
-  snapshot_ = std::move(snapshot);
+  // Only the pointer swap happens under the lock. The retired snapshot (a
+  // whole ScenarioSet plus AnalysisResult) then dies with `snapshot` after
+  // the lock is released, so a `status` request on the IO thread never
+  // waits on its destructor.
+  {
+    std::lock_guard<std::mutex> lock(snapshot_mutex_);
+    snapshot_.swap(snapshot);
+  }
 }
 
 std::shared_ptr<const ModelSnapshot> Daemon::snapshot() const {
