@@ -17,6 +17,7 @@ namespace {
 /// the counter synthesizer produces.
 struct SchemaPlan {
   metrics::MetricCatalog base_catalog;      ///< non-derived metrics, dense
+  dcsim::CounterPlan counters;              ///< base_catalog's synthesis slots
   std::vector<std::size_t> base_to_schema;  ///< base column -> schema column
   /// (schema column of the _Std metric, base column it derives from)
   std::vector<std::pair<std::size_t, std::size_t>> stddev_columns;
@@ -32,9 +33,10 @@ SchemaPlan plan_for(const metrics::MetricCatalog& schema) {
     base_to_schema.push_back(m.index);
     base_metrics.push_back(std::move(copy));
   }
-  SchemaPlan plan{metrics::MetricCatalog(std::move(base_metrics)),
-                  std::move(base_to_schema),
-                  {}};
+  metrics::MetricCatalog base_catalog(std::move(base_metrics));
+  dcsim::CounterPlan counters(base_catalog);
+  SchemaPlan plan{std::move(base_catalog), std::move(counters),
+                  std::move(base_to_schema), {}};
   for (const metrics::MetricInfo& m : schema.metrics()) {
     if (!metrics::MetricCatalog::is_stddev_column(m)) continue;
     const std::string source = m.name.substr(0, m.name.size() - 4);  // strip _Std
@@ -73,7 +75,7 @@ std::vector<double> read_sample(const dcsim::InterferenceModel& model,
   const dcsim::ScenarioPerformance perf =
       model.evaluate(machine, scenario.mix, stream);
   std::vector<double> sample = dcsim::synthesize_counters(
-      perf, model.catalog(), plan.base_catalog, config.counters, stream);
+      perf, model.catalog(), plan.counters, config.counters, stream);
   // Dynamics tags (rolling-upgrade version shift, anomaly-episode
   // corruption) distort the synthesized counters deterministically; untagged
   // rows skip the overlay entirely and stay bit-identical.
@@ -113,7 +115,7 @@ metrics::MetricRow profile_one(const dcsim::InterferenceModel& model,
       const dcsim::ScenarioPerformance perf =
           model.evaluate(machine, scenario.mix, stream);
       std::vector<double> sample = dcsim::synthesize_counters(
-          perf, model.catalog(), plan.base_catalog, config.counters, stream);
+          perf, model.catalog(), plan.counters, config.counters, stream);
       if (scenario.dynamic_tagged()) {
         dcsim::apply_dynamics_overlay(sample, plan.base_catalog, scenario);
       }

@@ -1,5 +1,6 @@
 #include "dcsim/counters.hpp"
 
+#include <array>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -109,13 +110,19 @@ LevelAggregate aggregate(const ScenarioPerformance& perf, const JobCatalog& cata
   return a;
 }
 
-/// Writes the 45 per-level base metrics for one level into `out`.
+/// Values synthesize_counters computes, by slot: the per-level metrics of
+/// the Machine level, then of the HP level, the machine-only metrics, then
+/// one mix count per job type.
+constexpr std::size_t kLevelMetrics = 53;
+constexpr std::size_t kMachineOnlyMetrics = 16;
+constexpr std::size_t kProducedMetrics =
+    2 * kLevelMetrics + kMachineOnlyMetrics + kNumJobTypes;
+
+/// Hands the 53 per-level base metrics of one level to `set(base, value)`,
+/// always in this order: a metric's slot is its position in it.
+template <typename Set>
 void fill_level(const LevelAggregate& a, const ScenarioPerformance& perf,
-                const MachineConfig& machine, std::string_view prefix,
-                std::unordered_map<std::string, double>& out) {
-  const auto set = [&](const char* base, double value) {
-    out[std::string(prefix) + "." + base] = value;
-  };
+                const MachineConfig& machine, Set&& set) {
   const double instr_per_sec = a.mips * 1e6;
   const double ipc = a.cycles_per_sec > 0.0 ? instr_per_sec / a.cycles_per_sec : 0.0;
 
@@ -193,55 +200,113 @@ void fill_level(const LevelAggregate& a, const ScenarioPerformance& perf,
           (1.0 - kernel));
 }
 
+/// Hands the machine-only metrics to `set(base, value)`, in slot order.
+template <typename Set>
+void fill_machine_only(const LevelAggregate& machine_agg,
+                       const ScenarioPerformance& perf,
+                       const MachineConfig& machine, Set&& set) {
+  const double total_vcpu = static_cast<double>(perf.mix.vcpus());
+  const double hp_vcpu = static_cast<double>(perf.mix.hp_vcpus());
+  set("TotalOccupancy_vCPU", total_vcpu);
+  set("HPOccupancy_vCPU", hp_vcpu);
+  set("LPOccupancy_vCPU", total_vcpu - hp_vcpu);
+  set("FreeVCPUs", static_cast<double>(machine.scheduling_vcpus()) - total_vcpu);
+  set("NumContainers", static_cast<double>(perf.mix.total_instances()));
+  set("NumHPContainers", static_cast<double>(perf.mix.hp_instances()));
+  set("NumLPContainers", static_cast<double>(perf.mix.lp_instances()));
+  set("DRAM_UtilFrac", machine_agg.dram_gb / machine.dram_gb);
+  set("MemBW_UtilFrac", perf.mem_bw_utilization);
+  set("MemLatencyMultiplier", perf.mem_latency_multiplier);
+  set("NetworkUtilFrac", perf.network_utilization);
+  set("Freq_GHz", machine.max_freq_ghz);
+  const double cores = static_cast<double>(machine.total_cores());
+  set("SMTSharedFrac",
+      machine.smt_enabled && perf.busy_threads > cores
+          ? std::min(2.0 * (perf.busy_threads - cores) / perf.busy_threads, 1.0)
+          : 0.0);
+  const double power = 75.0 + 145.0 * perf.cpu_utilization +
+                       28.0 * std::min(perf.mem_bw_utilization, 1.2) +
+                       0.3 * perf.llc_used_mb;
+  set("Power_W", power);
+  const double temperature = 34.0 + 0.11 * power;
+  set("Temperature_C", temperature);
+  set("FanSpeed_RPM", 1800.0 + 42.0 * temperature);
+}
+
+/// Slot of every fully qualified metric name the synthesizer produces. The
+/// names are recorded by running the fill functions once with a sink that
+/// keeps only names, so a name can never drift from its value's slot.
+const std::unordered_map<std::string, std::size_t>& slot_by_name() {
+  static const auto kSlots = [] {
+    std::vector<std::string> names;
+    const LevelAggregate none;
+    const ScenarioPerformance perf;
+    for (const std::string prefix : {"Machine.", "HP."}) {
+      fill_level(none, perf, perf.machine, [&](const char* base, double) {
+        names.push_back(prefix + base);
+      });
+    }
+    fill_machine_only(none, perf, perf.machine, [&](const char* base, double) {
+      names.push_back(std::string("Machine.") + base);
+    });
+    // Per-job mix occupancy (consumed only by the opt-in §5.3 schema
+    // standard_with_job_mix(); other schemas leave these slots unread).
+    for (const JobType type : all_job_types()) {
+      names.push_back("Machine.Mix_" + std::string(job_code(type)) + "_Instances");
+    }
+    ensure(names.size() == kProducedMetrics,
+           "synthesize_counters: produced-metric count out of sync");
+    std::unordered_map<std::string, std::size_t> slots;
+    for (std::size_t i = 0; i < names.size(); ++i) slots[names[i]] = i;
+    return slots;
+  }();
+  return kSlots;
+}
+
 }  // namespace
+
+CounterPlan::CounterPlan(const metrics::MetricCatalog& schema) {
+  const std::unordered_map<std::string, std::size_t>& slots = slot_by_name();
+  entries_.reserve(schema.size());
+  for (const metrics::MetricInfo& info : schema.metrics()) {
+    const auto it = slots.find(info.name);
+    ensure(it != slots.end(),
+           "synthesize_counters: schema metric not produced: " + info.name);
+    Entry entry;
+    entry.slot = it->second;
+    entry.base_hash = util::fnv1a(info.base_name);
+    entry.level = info.level == metrics::MetricLevel::kHpJobs ? 1 : 0;
+    entry.category = static_cast<std::uint8_t>(info.category);
+    entry.exact = info.category == metrics::MetricCategory::kOccupancy;
+    entries_.push_back(entry);
+  }
+}
 
 std::vector<double> synthesize_counters(const ScenarioPerformance& perf,
                                         const JobCatalog& catalog,
                                         const metrics::MetricCatalog& schema,
                                         CounterOptions options,
                                         std::uint64_t noise_stream) {
-  const MachineConfig& machine = perf.machine;
-  std::unordered_map<std::string, double> values;
+  return synthesize_counters(perf, catalog, CounterPlan(schema), options,
+                             noise_stream);
+}
 
+std::vector<double> synthesize_counters(const ScenarioPerformance& perf,
+                                        const JobCatalog& catalog,
+                                        const CounterPlan& plan,
+                                        CounterOptions options,
+                                        std::uint64_t noise_stream) {
+  const MachineConfig& machine = perf.machine;
+  std::array<double, kProducedMetrics> values;
+  double* out = values.data();
+  const auto put = [&out](const char*, double value) { *out++ = value; };
   const LevelAggregate machine_agg = aggregate(perf, catalog, machine, false);
   const LevelAggregate hp_agg = aggregate(perf, catalog, machine, true);
-  fill_level(machine_agg, perf, machine, "Machine", values);
-  fill_level(hp_agg, perf, machine, "HP", values);
-
-  // Machine-only metrics.
-  const double total_vcpu = static_cast<double>(perf.mix.vcpus());
-  const double hp_vcpu = static_cast<double>(perf.mix.hp_vcpus());
-  values["Machine.TotalOccupancy_vCPU"] = total_vcpu;
-  values["Machine.HPOccupancy_vCPU"] = hp_vcpu;
-  values["Machine.LPOccupancy_vCPU"] = total_vcpu - hp_vcpu;
-  values["Machine.FreeVCPUs"] =
-      static_cast<double>(machine.scheduling_vcpus()) - total_vcpu;
-  values["Machine.NumContainers"] = static_cast<double>(perf.mix.total_instances());
-  values["Machine.NumHPContainers"] = static_cast<double>(perf.mix.hp_instances());
-  values["Machine.NumLPContainers"] = static_cast<double>(perf.mix.lp_instances());
-  values["Machine.DRAM_UtilFrac"] = machine_agg.dram_gb / machine.dram_gb;
-  values["Machine.MemBW_UtilFrac"] = perf.mem_bw_utilization;
-  values["Machine.MemLatencyMultiplier"] = perf.mem_latency_multiplier;
-  values["Machine.NetworkUtilFrac"] = perf.network_utilization;
-  values["Machine.Freq_GHz"] = machine.max_freq_ghz;
-  const double cores = static_cast<double>(machine.total_cores());
-  values["Machine.SMTSharedFrac"] =
-      machine.smt_enabled && perf.busy_threads > cores
-          ? std::min(2.0 * (perf.busy_threads - cores) / perf.busy_threads, 1.0)
-          : 0.0;
-  const double power = 75.0 + 145.0 * perf.cpu_utilization +
-                       28.0 * std::min(perf.mem_bw_utilization, 1.2) +
-                       0.3 * perf.llc_used_mb;
-  values["Machine.Power_W"] = power;
-  const double temperature = 34.0 + 0.11 * power;
-  values["Machine.Temperature_C"] = temperature;
-  values["Machine.FanSpeed_RPM"] = 1800.0 + 42.0 * temperature;
-
-  // Per-job mix occupancy (consumed only by the opt-in §5.3 schema
-  // standard_with_job_mix(); unreferenced entries are simply unused).
+  fill_level(machine_agg, perf, machine, put);
+  fill_level(hp_agg, perf, machine, put);
+  fill_machine_only(machine_agg, perf, machine, put);
   for (const JobType type : all_job_types()) {
-    values["Machine.Mix_" + std::string(job_code(type)) + "_Instances"] =
-        static_cast<double>(perf.mix.count(type));
+    *out++ = static_cast<double>(perf.mix.count(type));
   }
 
   // Order per the schema and overlay measurement noise. Structural
@@ -277,21 +342,19 @@ std::vector<double> synthesize_counters(const ScenarioPerformance& perf,
     }
   }
 
-  std::vector<double> row(schema.size(), 0.0);
-  for (const metrics::MetricInfo& info : schema.metrics()) {
-    const auto it = values.find(info.name);
-    ensure(it != values.end(),
-           "synthesize_counters: schema metric not produced: " + info.name);
-    double v = it->second;
-    if (options.enable_noise && info.category != metrics::MetricCategory::kOccupancy) {
-      v *= family_factor[info.level == metrics::MetricLevel::kHpJobs ? 1 : 0]
-                        [static_cast<std::size_t>(info.category)];
-      v *= subgroup_factor[util::fnv1a(info.base_name) % subgroup_factor.size()];
+  const std::vector<CounterPlan::Entry>& entries = plan.entries();
+  std::vector<double> row(entries.size(), 0.0);
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const CounterPlan::Entry& entry = entries[i];
+    double v = values[entry.slot];
+    if (options.enable_noise && !entry.exact) {
+      v *= family_factor[entry.level][entry.category];
+      v *= subgroup_factor[entry.base_hash % subgroup_factor.size()];
       if (options.measurement_noise_sigma > 0.0) {
         v *= std::exp(options.measurement_noise_sigma * rng.normal());
       }
     }
-    row[info.index] = v;
+    row[i] = v;
   }
   return row;
 }

@@ -31,8 +31,39 @@ struct CounterOptions {
   bool enable_noise = true;
 };
 
-/// Synthesises the catalog-ordered raw metric vector for one evaluated
+/// Where each metric of one schema sits among the values the synthesizer
+/// computes, resolved once per schema so the per-sample path addresses them
+/// by position instead of looking names up.
+class CounterPlan {
+ public:
+  /// One schema metric, in schema order.
+  struct Entry {
+    std::size_t slot = 0;        ///< position among the synthesized values
+    std::uint64_t base_hash = 0; ///< fnv1a(base_name): picks the subgroup latent
+    std::uint8_t level = 0;      ///< family-jitter row: 0 Machine, 1 HP
+    std::uint8_t category = 0;   ///< family-jitter column (MetricCategory)
+    bool exact = false;          ///< occupancy count: read losslessly, no noise
+  };
+
+  /// Throws std::invalid_argument naming the first schema metric the
+  /// synthesizer does not produce.
+  explicit CounterPlan(const metrics::MetricCatalog& schema);
+
+  [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
+
+ private:
+  std::vector<Entry> entries_;
+};
+
+/// Synthesises the schema-ordered raw metric vector for one evaluated
 /// scenario. Deterministic per (performance, noise_stream).
+[[nodiscard]] std::vector<double> synthesize_counters(
+    const ScenarioPerformance& performance, const JobCatalog& catalog,
+    const CounterPlan& plan, CounterOptions options = {},
+    std::uint64_t noise_stream = 0);
+
+/// Same, resolving `schema` on the spot — callers that synthesize many rows
+/// of one schema build the CounterPlan once instead.
 [[nodiscard]] std::vector<double> synthesize_counters(
     const ScenarioPerformance& performance, const JobCatalog& catalog,
     const metrics::MetricCatalog& schema, CounterOptions options = {},

@@ -1,8 +1,12 @@
-// Symmetric eigendecomposition via the cyclic Jacobi method.
+// Symmetric eigendecomposition: two solvers for the two PCA paths.
 //
 // PCA (FLARE §4.3) needs all eigenpairs of a ~112 × 112 covariance matrix.
-// Jacobi is exact enough (machine precision), simple, and at this size runs
-// in milliseconds — no need for Householder/QR machinery.
+// The batch fit uses the cyclic Jacobi method: exact to machine precision,
+// simple, and its bits are what the golden hashes pin. The incremental fold
+// re-solves a merged covariance on every ingest batch, so it uses Householder
+// tridiagonalisation followed by implicit QL instead — a fixed O(n³) pass that
+// does not care how far from diagonal its input is, about twice as fast as
+// Jacobi on the fold's near-diagonal matrices.
 #pragma once
 
 #include "linalg/matrix.hpp"
@@ -16,32 +20,19 @@ struct SymmetricEigenResult {
   Matrix eigenvectors;
 };
 
-/// Decomposes a symmetric matrix. Throws NumericalError if `a` is not square
-/// or the sweep limit is exceeded (practically unreachable for symmetric
-/// input), and std::invalid_argument if `a` is materially non-symmetric.
-///
-/// `rotation_skip` (relative to the Frobenius norm of `a`) skips rotations
-/// whose pivot is already below that threshold. The default 0.0 rotates every
-/// non-zero pivot, preserving the historical bit-exact behaviour; warm solves
-/// of near-diagonal matrices (incremental PCA) pass a small value so converged
-/// pivots cost a comparison instead of three O(n) row/column updates. Must be
-/// well below the 1e-8 convergence acceptance or the final check throws.
-[[nodiscard]] SymmetricEigenResult symmetric_eigen(const Matrix& a,
-                                                   int max_sweeps = 64,
-                                                   double tolerance = 1e-12,
-                                                   double rotation_skip = 0.0);
+/// Decomposes a symmetric matrix by cyclic Jacobi sweeps. The batch-fit PCA
+/// path (and the tests' oracle): its output bits are pinned. Throws
+/// std::invalid_argument if `a` is not square, empty or materially
+/// non-symmetric, FaultError naming the first non-finite entry, and
+/// NumericalError if the sweep limit is exceeded (practically unreachable for
+/// symmetric input).
+[[nodiscard]] SymmetricEigenResult symmetric_eigen(const Matrix& a);
 
-/// Warm-start variant for *near-diagonal* symmetric input (e.g. a merged
-/// covariance expressed in the previous eigenbasis — incremental PCA). Same
-/// cyclic-Jacobi iteration, convergence acceptance, and descending-eigenvalue
-/// contract as `symmetric_eigen`, but the working matrix is maintained as an
-/// upper triangle with exact pivot annihilation, roughly halving the flops
-/// per rotation. Results match `symmetric_eigen` up to floating-point
-/// rounding, NOT bit-for-bit — callers needing the historical bit-exact
-/// spectrum (the batch-fit golden path) must use `symmetric_eigen`.
-[[nodiscard]] SymmetricEigenResult symmetric_eigen_warm(const Matrix& a,
-                                                        int max_sweeps = 64,
-                                                        double tolerance = 1e-12,
-                                                        double rotation_skip = 0.0);
+/// Same contract via Householder tridiagonalisation and implicit QL (the
+/// EISPACK tred2/tql2 pair in its JAMA form). Agrees with `symmetric_eigen` up
+/// to floating-point rounding, NOT bit for bit — callers needing the pinned
+/// batch-fit spectrum must use `symmetric_eigen`. Throws NumericalError when
+/// an eigenvalue needs more than 30 QL iterations or the solve overflows.
+[[nodiscard]] SymmetricEigenResult symmetric_eigen_ql(const Matrix& a);
 
 }  // namespace flare::linalg

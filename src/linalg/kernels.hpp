@@ -24,7 +24,8 @@ namespace flare::linalg {
 /// streams past. Tasks own whole tile-rows of the output, so `pool` changes
 /// no bit.
 /// Callers: covariance_matrix (means = column means), the out-of-core
-/// comoment fold (block means) and Pca::update's Gram matrix (means = 0).
+/// comoment fold (block means), Pca::update's Gram matrix and the drift
+/// residual's RᵀR (means = 0).
 [[nodiscard]] Matrix centered_cross_products(const Matrix& data,
                                              std::span<const double> means,
                                              util::ThreadPool* pool = nullptr);

@@ -32,15 +32,6 @@ void fix_component_signs(linalg::Matrix& vectors) {
   }
 }
 
-/// Pivot threshold (relative to Frobenius scale) for the warm Jacobi solve in
-/// update(): the merged covariance is expressed in the previous eigenbasis and
-/// is near-diagonal, so most pivots are converged before the first rotation.
-/// 1e-10 keeps the solve two decades below the 1e-8 convergence acceptance
-/// while skipping the sub-noise rotations that dominate late sweeps; measured
-/// eigenvalue deviation vs a zero-skip solve is ~3e-13 at the paper scale,
-/// five decades inside the property-tested 1e-8 explained-variance bound.
-constexpr double kWarmRotationSkip = 1e-10;
-
 }  // namespace
 
 void Pca::fit(const linalg::Matrix& data, util::ThreadPool* pool) {
@@ -137,8 +128,8 @@ PcaUpdateStats Pca::update(const linalg::Matrix& batch,
   // Merged sample covariance in eigenbasis coordinates (Chan's scatter merge,
   // the matrix analogue of Standardizer::merge):
   //   M = [(n₁−1)·diag(λ) + YᵀY + (n₁n₂/n)·zzᵀ] / (n−1).
-  // VᵀC₁V = diag(λ) exactly, so M is near-diagonal and the Jacobi solve below
-  // is warm. Eigenvectors of the merged covariance are then V·W.
+  // VᵀC₁V = diag(λ) exactly, so M is near-diagonal. Eigenvectors of the
+  // merged covariance are then V·W.
   linalg::Matrix m =
       linalg::centered_cross_products(y, std::vector<double>(d, 0.0), pool);
   const double cross = n1 * n2 / n;
@@ -151,8 +142,7 @@ PcaUpdateStats Pca::update(const linalg::Matrix& batch,
     }
   }
 
-  linalg::SymmetricEigenResult eig =
-      linalg::symmetric_eigen_warm(m, 64, 1e-12, kWarmRotationSkip);
+  linalg::SymmetricEigenResult eig = linalg::symmetric_eigen_ql(m);
   for (double& ev : eig.eigenvalues) ev = std::max(ev, 0.0);
 
   linalg::Matrix rotated = components_.multiply(eig.eigenvectors, pool);
@@ -191,30 +181,30 @@ void Pca::set_drift_anchor(std::size_t k) {
 double Pca::drift_against_anchor() const {
   const std::size_t k = anchor_.cols();
   if (k == 0) return 0.0;
-  // Overlap of the anchored subspace with the current leading-k basis:
-  // A = anchorᵀ·V_k (k×k). The singular values of A are the cosines of the
-  // principal angles, so sin(θ_max) = √(1 − λ_min(AᵀA)).
-  linalg::Matrix a(k, k);
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = 0; j < k; ++j) {
-      double dot = 0.0;
-      for (std::size_t r = 0; r < anchor_.rows(); ++r) {
-        dot += anchor_(r, i) * components_(r, j);
-      }
-      a(i, j) = dot;
+  const std::size_t d = anchor_.rows();
+  // The residual of the anchor off the current leading-k basis,
+  // R = anchor − V_k·(V_kᵀ·anchor), has the sines of the principal angles as
+  // its singular values, so sin(θ_max) = √λ_max(RᵀR). Reading the sine off R
+  // keeps full precision near zero drift, where √(1 − λ_min(AᵀA)) with
+  // A = V_kᵀ·anchor would turn a 1e-16 rounding error into 1e-8 of drift.
+  linalg::Matrix overlap(k, k);
+  for (std::size_t r = 0; r < d; ++r) {
+    for (std::size_t i = 0; i < k; ++i) {
+      const double v = components_(r, i);
+      for (std::size_t j = 0; j < k; ++j) overlap(i, j) += v * anchor_(r, j);
     }
   }
-  linalg::Matrix gram(k, k);
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = 0; j < k; ++j) {
-      double dot = 0.0;
-      for (std::size_t r = 0; r < k; ++r) dot += a(r, i) * a(r, j);
-      gram(i, j) = dot;
+  linalg::Matrix residual = anchor_;
+  for (std::size_t r = 0; r < d; ++r) {
+    for (std::size_t i = 0; i < k; ++i) {
+      const double v = components_(r, i);
+      for (std::size_t j = 0; j < k; ++j) residual(r, j) -= v * overlap(i, j);
     }
   }
-  const linalg::SymmetricEigenResult eig = linalg::symmetric_eigen(gram);
-  const double cos_sq = std::clamp(eig.eigenvalues.back(), 0.0, 1.0);
-  return std::sqrt(1.0 - cos_sq);
+  const linalg::Matrix gram =
+      linalg::centered_cross_products(residual, std::vector<double>(k, 0.0));
+  const linalg::SymmetricEigenResult eig = linalg::symmetric_eigen_ql(gram);
+  return std::sqrt(std::clamp(eig.eigenvalues.front(), 0.0, 1.0));
 }
 
 void Pca::recompute_ratios() {

@@ -9,12 +9,13 @@
 // Beyond the batch fit, `update()` folds fresh rows into the fitted basis
 // with a block Brand-style eigenbasis update (see DESIGN.md §9): the merged
 // covariance is assembled *in the current eigenbasis*, where it is
-// near-diagonal, so a warm Jacobi solve converges in a couple of sweeps
-// instead of re-reading every historical row. The update is algebraically
-// exact — up to floating-point rounding it matches a from-scratch fit over
-// the concatenated rows — and the class tracks the principal angle between
-// the current basis and a caller-chosen *anchor* subspace so the ingest path
-// can gate a full refit on accumulated drift.
+// near-diagonal, and diagonalised by a Householder + implicit-QL solve
+// (linalg::symmetric_eigen_ql) instead of re-reading every historical row;
+// the batch fit keeps the cold Jacobi solve, whose bits are pinned. The
+// update is algebraically exact — up to floating-point rounding it matches a
+// from-scratch fit over the concatenated rows — and the class tracks the
+// principal angle between the current basis and a caller-chosen *anchor*
+// subspace so the ingest path can gate a full refit on accumulated drift.
 #pragma once
 
 #include "linalg/matrix.hpp"

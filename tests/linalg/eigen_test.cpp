@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "stats/rng.hpp"
 #include "tests/util/matrix_matchers.hpp"
 #include "tests/util/property.hpp"
+#include "util/error.hpp"
 
 namespace flare::linalg {
 namespace {
@@ -112,8 +115,8 @@ TEST(SymmetricEigen, HandlesZeroMatrix) {
   for (const double ev : result.eigenvalues) EXPECT_DOUBLE_EQ(ev, 0.0);
 }
 
-/// A diagonal-dominant matrix like the merged covariance incremental PCA
-/// hands to the warm solver: diag(descending) plus a small symmetric bump.
+/// A diagonal-dominant matrix like the merged covariance the incremental PCA
+/// fold hands to the QL solver: diag(descending) plus a small symmetric bump.
 Matrix near_diagonal(std::size_t n, double bump, std::uint64_t seed) {
   stats::Rng rng(seed);
   Matrix m(n, n);
@@ -128,33 +131,12 @@ Matrix near_diagonal(std::size_t n, double bump, std::uint64_t seed) {
   return m;
 }
 
-TEST(SymmetricEigen, RotationSkipZeroIsBitIdenticalToDefault) {
-  // rotation_skip = 0.0 must preserve the historical bit-exact spectrum —
-  // the batch-fit golden hash depends on it.
-  const Matrix m = random_symmetric(14, 41);
-  const auto base = symmetric_eigen(m);
-  const auto skipped = symmetric_eigen(m, 64, 1e-12, 0.0);
-  for (std::size_t i = 0; i < 14; ++i) {
-    EXPECT_EQ(base.eigenvalues[i], skipped.eigenvalues[i]);
-  }
-  EXPECT_EQ(base.eigenvectors.max_abs_diff(skipped.eigenvectors), 0.0);
-}
-
-TEST(SymmetricEigen, SmallRotationSkipStillConverges) {
-  const Matrix m = random_symmetric(14, 42);
-  const auto base = symmetric_eigen(m);
-  const auto skipped = symmetric_eigen(m, 64, 1e-12, 1e-12);
-  for (std::size_t i = 0; i < 14; ++i) {
-    EXPECT_NEAR(base.eigenvalues[i], skipped.eigenvalues[i], 1e-9);
-  }
-  EXPECT_TRUE(flare::testing::ColumnsMatchUpToSign(base.eigenvectors,
-                                                   skipped.eigenvectors, 1e-7));
-}
-
+// The SymmetricEigenWarm* suites pin the solver of the warm (near-diagonal)
+// tracked-basis fold, which is symmetric_eigen_ql.
 TEST(SymmetricEigenWarm, MatchesColdSolverOnNearDiagonalInput) {
   const Matrix m = near_diagonal(20, 0.05, 43);
   const auto cold = symmetric_eigen(m);
-  const auto warm = symmetric_eigen_warm(m, 64, 1e-12, 1e-12);
+  const auto warm = symmetric_eigen_ql(m);
   for (std::size_t i = 0; i < 20; ++i) {
     EXPECT_NEAR(cold.eigenvalues[i], warm.eigenvalues[i], 1e-9);
   }
@@ -163,10 +145,10 @@ TEST(SymmetricEigenWarm, MatchesColdSolverOnNearDiagonalInput) {
 }
 
 TEST(SymmetricEigenWarm, SharesTheColdSolverContract) {
-  EXPECT_THROW(symmetric_eigen_warm(Matrix(2, 3)), std::invalid_argument);
+  EXPECT_THROW(symmetric_eigen_ql(Matrix(2, 3)), std::invalid_argument);
   const Matrix asym = Matrix::from_rows({{1, 2}, {0, 1}});
-  EXPECT_THROW(symmetric_eigen_warm(asym), std::invalid_argument);
-  const auto one = symmetric_eigen_warm(near_diagonal(1, 0.0, 0));
+  EXPECT_THROW(symmetric_eigen_ql(asym), std::invalid_argument);
+  const auto one = symmetric_eigen_ql(near_diagonal(1, 0.0, 0));
   EXPECT_DOUBLE_EQ(one.eigenvalues[0], 1.0);
 }
 
@@ -175,7 +157,7 @@ TEST(SymmetricEigenWarmProperty, ReconstructsAndStaysOrthonormal) {
     const std::size_t n = std::max<std::size_t>(2, static_cast<std::size_t>(24 * scale));
     const double bump = 0.2 * rng.uniform();
     const Matrix m = near_diagonal(n, bump, rng.next());
-    const auto result = symmetric_eigen_warm(m, 64, 1e-12, 1e-12);
+    const auto result = symmetric_eigen_ql(m);
     const std::vector<double>& values = result.eigenvalues;
     const Matrix& vectors = result.eigenvectors;
     for (std::size_t i = 1; i < n; ++i) EXPECT_GE(values[i - 1], values[i]);
@@ -186,6 +168,53 @@ TEST(SymmetricEigenWarmProperty, ReconstructsAndStaysOrthonormal) {
     const Matrix rebuilt = vectors.multiply(lambda).multiply(vectors.transposed());
     EXPECT_LT(rebuilt.max_abs_diff(m), 1e-8);
   });
+}
+
+/// Runs `solve` on `m` and returns the FaultError message ("" if none).
+template <typename Solve>
+std::string fault_message(Solve solve, const Matrix& m) {
+  try {
+    (void)solve(m);
+  } catch (const FaultError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SymmetricEigen, RejectsNonFiniteInputNamingTheEntry) {
+  // Before the up-front check a NaN surfaced as "matrix is not symmetric".
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    Matrix m = random_symmetric(4, 7);
+    m(2, 1) = bad;
+    m(1, 2) = bad;
+    const auto jacobi = [](const Matrix& x) { return symmetric_eigen(x); };
+    const auto ql = [](const Matrix& x) { return symmetric_eigen_ql(x); };
+    EXPECT_NE(fault_message(jacobi, m).find("non-finite entry at (1, 2)"),
+              std::string::npos);
+    EXPECT_NE(fault_message(ql, m).find("non-finite entry at (1, 2)"),
+              std::string::npos);
+    Matrix one(1, 1);
+    one(0, 0) = bad;
+    EXPECT_THROW((void)symmetric_eigen(one), FaultError);
+    EXPECT_THROW((void)symmetric_eigen_ql(one), FaultError);
+  }
+}
+
+TEST(SymmetricEigenQl, OverflowingReductionHitsTheIterationCap) {
+  // Finite input whose Householder reduction overflows to NaN. A NaN never
+  // counts as converged, so the QL loop runs into its 30-iteration cap and
+  // throws instead of looping forever (JAMA's tql2 has no cap) or returning
+  // NaN eigenpairs.
+  const double big = std::numeric_limits<double>::max();
+  const Matrix m = Matrix::from_rows({{big, big}, {big, -big}});
+  try {
+    (void)symmetric_eigen_ql(m);
+    FAIL() << "an overflowing solve must throw";
+  } catch (const NumericalError& e) {
+    EXPECT_NE(std::string(e.what()).find("did not converge"), std::string::npos);
+  }
 }
 
 class EigenSizeSweep : public ::testing::TestWithParam<std::size_t> {};

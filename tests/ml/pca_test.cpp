@@ -277,6 +277,52 @@ TEST(PcaUpdate, DriftAnchorTracksSubspaceRotation) {
   EXPECT_DOUBLE_EQ(pca.subspace_drift(), 0.0);
 }
 
+TEST(PcaUpdate, BatchThatCannotRotateTheBasisReportsNoDrift) {
+  // Two rows μ ± 0.5·v₁: no mean shift, scatter along an existing axis, so
+  // the basis cannot rotate. √(1 − λ_min(AᵀA)) turned the 1e-16 rounding of
+  // AᵀA into ~1e-8 of drift here; the residual form keeps it at rounding.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    stats::Rng rng(seed);
+    const Matrix data = testing::low_rank_noise_matrix(rng, 60, 8, 3);
+    Pca pca;
+    pca.fit(data);
+    pca.set_drift_anchor(3);
+    Matrix batch(2, 8);
+    for (std::size_t c = 0; c < 8; ++c) {
+      const double axis = 0.5 * pca.components()(c, 0);
+      batch(0, c) = pca.mean()[c] + axis;
+      batch(1, c) = pca.mean()[c] - axis;
+    }
+    pca.update(batch);
+    EXPECT_LE(pca.subspace_drift(), 1e-12) << "seed " << seed;
+  }
+}
+
+TEST(PcaUpdateProperty, DriftMatchesTheCosineFormulaAwayFromZero) {
+  // Where the old √(1 − cos²) form is well conditioned (drift ≥ 1e-3), the
+  // residual form must agree with it.
+  FLARE_CHECK_PROPERTY(20, 0x9CCu, [](stats::Rng& rng, double scale) {
+    const std::size_t d = std::max<std::size_t>(4, static_cast<std::size_t>(20 * scale));
+    const std::size_t k = std::max<std::size_t>(1, d / 3);
+    const Matrix all = testing::low_rank_noise_matrix(rng, 6 * d, d, k + 1);
+    Pca pca;
+    pca.fit(testing::rows_slice(all, 0, 3 * d));
+    pca.set_drift_anchor(k);
+    const Matrix anchor = pca.components();
+    // Half the batches come from the fitted population, half from fresh
+    // factor directions that rotate the basis hard.
+    const std::size_t batch_rows = 1 + rng.uniform_int(0, 3 * d - 1);
+    pca.update(rng.uniform() < 0.5
+                   ? testing::rows_slice(all, 3 * d, 3 * d + batch_rows)
+                   : testing::low_rank_noise_matrix(rng, batch_rows, d, k + 1, 1.0));
+    const double cosine_form =
+        testing::subspace_angle_sin(anchor, pca.components(), k);
+    if (cosine_form >= 1e-3) {
+      EXPECT_NEAR(pca.subspace_drift(), cosine_form, 1e-9);
+    }
+  });
+}
+
 TEST(PcaUpdateProperty, MultiBatchUpdateMatchesFromScratch) {
   FLARE_CHECK_PROPERTY(20, 0x9CAu, [](stats::Rng& rng, double scale) {
     const std::size_t d = std::max<std::size_t>(5, static_cast<std::size_t>(24 * scale));
