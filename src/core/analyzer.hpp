@@ -233,10 +233,10 @@ class Analyzer {
                                          util::ThreadPool* pool) const;
 
   /// Incremental-PCA refit (the ingest path's --pca-update incremental/auto
-  /// kRefit action): splices `updated_pca` — an eigenbasis maintained by
-  /// ml::Pca::update over the frozen refinement + standardisation frame of
-  /// `previous` — in place of a cold PCA fit, then replays only the
-  /// downstream whiten/cluster/representative stages over the full
+  /// kRefit action): splices `updated_pca` — an eigenbasis tracked by
+  /// ml::TrackedPca over the frozen refinement + standardisation frame of
+  /// `previous` and materialised — in place of a cold PCA fit, then replays
+  /// only the downstream whiten/cluster/representative stages over the full
   /// population, warm-starting K-means at the previous chosen k from the
   /// previous centroids (Fig. 9 sweep skipped, quality curve carried over).
   /// The refine/standardize/pca counters stay put; pca_incremental records
@@ -310,7 +310,7 @@ struct PcaOutput {
                                 const std::vector<std::size_t>* fit_rows = nullptr);
 
 /// Stage 3′ — basis splice for the incremental-PCA refit: adopts an
-/// eigenbasis maintained by ml::Pca::update in place of a cold fit and
+/// eigenbasis tracked by ml::TrackedPca in place of a cold fit and
 /// re-derives the variance-target component count and the PC labels from
 /// its (incrementally merged) spectrum.
 [[nodiscard]] PcaOutput splice_pca(const ml::Pca& updated_pca,

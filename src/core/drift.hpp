@@ -48,7 +48,7 @@ struct DriftConfig {
   double reweight_threshold = 0.75;
   /// Maximum tolerated rotation of the incrementally tracked PCA eigenbasis
   /// away from the basis the fitted analysis projects with, measured as
-  /// sin(θ_max) over the kept components (ml::Pca::subspace_drift, see
+  /// sin(θ_max) over the kept components (ml::TrackedPca::drift, see
   /// DESIGN.md §9). Beyond it the kAuto PCA-update policy escalates the
   /// batch action to a refit: rows absorbed so far were projected in a basis
   /// the population has rotated away from.

@@ -146,8 +146,7 @@ std::vector<double> FlarePipeline::masked_weights(
 }
 
 void FlarePipeline::rebase_tracked_pca() {
-  tracked_pca_ = analysis_->pca;
-  tracked_pca_.set_drift_anchor(analysis_->num_components);
+  tracked_pca_ = ml::TrackedPca(analysis_->pca, analysis_->num_components);
 }
 
 FeatureEstimate FlarePipeline::evaluate(const Feature& feature) {
@@ -302,8 +301,7 @@ IngestReport FlarePipeline::ingest(const dcsim::ScenarioSet& batch,
         basis_rows.select_columns(analysis_->kept_columns));
     ml::Standardizer batch_moments;
     batch_moments.fit(std_batch);
-    report.pca_update =
-        tracked_pca_.update(std_batch, batch_moments, pool_.get());
+    report.pca_update = tracked_pca_.fold(std_batch, batch_moments, pool_.get());
     report.pca_drift = report.pca_update.subspace_drift;
     ++analysis_->stage_counters.pca_incremental;
   }
@@ -403,15 +401,16 @@ IngestReport FlarePipeline::ingest(const dcsim::ScenarioSet& batch,
           (config_.pca_update == PcaUpdatePolicy::kAuto &&
            report.pca_drift <= config_.drift.pca_drift_limit);
       if (incremental) {
-        // New behaviours, small basis rotation: splice the tracked basis and
-        // replay only the downstream stages over the combined population.
-        // The analysis now projects with the tracked basis itself, so the
-        // drift anchor rebases to it (future drift measures from here).
-        *analysis_ = analyzer.refit_incremental(*database_, tracked_pca_,
-                                                *analysis_, pool_.get(),
-                                                health_ptr);
+        // New behaviours, small basis rotation: splice the materialised
+        // tracked basis and replay only the downstream stages over the
+        // combined population. The analysis now projects with that basis
+        // itself, so tracking restarts from it (future drift measures from
+        // here).
+        *analysis_ = analyzer.refit_incremental(
+            *database_, tracked_pca_.materialize(pool_.get()), *analysis_,
+            pool_.get(), health_ptr);
         report.pca_incremental_refit = true;
-        tracked_pca_.set_drift_anchor(analysis_->num_components);
+        rebase_tracked_pca();
       } else {
         // Full refit over the combined population, warm-started from the
         // previous centroids (stage fingerprints still skip any stage whose

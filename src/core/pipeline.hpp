@@ -18,6 +18,7 @@
 #include "core/profiler.hpp"
 #include "core/replayer.hpp"
 #include "dcsim/interference_model.hpp"
+#include "ml/tracked_pca.hpp"
 #include "util/thread_pool.hpp"
 
 namespace flare::core {
@@ -32,14 +33,14 @@ enum class MetricSchema : unsigned char {
 
 /// How FlarePipeline::ingest maintains the PCA eigenbasis across batches.
 /// Under every policy ingest folds each batch into a shadow basis with
-/// ml::Pca::update (cheap, exact up to FP rounding — DESIGN.md §9) and
+/// ml::TrackedPca::fold (cheap, exact up to FP rounding — DESIGN.md §9) and
 /// reports its subspace drift; the policy decides what the basis is *for*.
 enum class PcaUpdatePolicy : unsigned char {
   /// kRefit actions run the cold covariance fit, bit-identical to the batch
   /// path; the tracked basis is telemetry only (default).
   kRefit,
-  /// kRefit actions splice the tracked basis and replay only the downstream
-  /// stages (Analyzer::refit_incremental) — never a cold PCA fit.
+  /// kRefit actions splice the materialised tracked basis and replay only the
+  /// downstream stages (Analyzer::refit_incremental) — never a cold PCA fit.
   kIncremental,
   /// Incremental while the tracked drift stays within
   /// DriftConfig::pca_drift_limit; beyond it the action escalates to a cold
@@ -101,10 +102,10 @@ struct IngestReport {
   /// Row index (into the combined database/ScenarioSet) of the first one.
   std::size_t first_new_row = 0;
   /// Telemetry from folding this batch into the tracked eigenbasis
-  /// (ml::Pca::update) — maintained under every PcaUpdatePolicy.
+  /// (ml::TrackedPca::fold) — maintained under every PcaUpdatePolicy.
   ml::PcaUpdateStats pca_update;
   /// sin(max principal angle) between the basis the analysis projects with
-  /// and the tracked basis after this batch (ml::Pca::subspace_drift). The
+  /// and the tracked basis after this batch (ml::TrackedPca::drift). The
   /// value the kAuto escalation and refit-mode choice keyed off; a refit
   /// action rebases the tracked anchor, so the *next* report starts near 0.
   double pca_drift = 0.0;
@@ -208,9 +209,9 @@ class FlarePipeline {
   Replayer replayer_;
   std::unique_ptr<util::ThreadPool> pool_;  ///< non-null when threads != 1
 
-  /// Re-seats the tracked eigenbasis on the analysis' fitted basis and
-  /// anchors drift measurement at the kept components (after fit() and after
-  /// every cold refit — the frame may have changed under the basis).
+  /// Restarts the tracked eigenbasis from the analysis' basis, anchoring drift
+  /// measurement at the kept components (after fit() and after every refit —
+  /// the frame or the basis changed under it).
   void rebase_tracked_pca();
 
   /// Median-imputes every non-finite cell of rows [first_row, …) of `db` with
@@ -238,9 +239,10 @@ class FlarePipeline {
   std::vector<bool> quarantined_;
   std::vector<double> impute_medians_;
   std::size_t imputed_cells_total_ = 0;
-  /// Shadow eigenbasis advanced by ml::Pca::update on every ingested batch,
-  /// expressed in the fitted (frozen) refinement + standardisation frame.
-  ml::Pca tracked_pca_;
+  /// Shadow eigenbasis advanced by ml::TrackedPca::fold on every ingested
+  /// batch, expressed in the fitted (frozen) refinement + standardisation
+  /// frame.
+  ml::TrackedPca tracked_pca_;
   /// Adaptive drift response state (inert unless drift_response.enabled).
   DriftResponsePolicy response_;
 };

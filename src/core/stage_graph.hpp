@@ -53,7 +53,7 @@ struct StageCounters {
   std::size_t whiten = 0;
   std::size_t cluster = 0;
   std::size_t representatives = 0;
-  /// Incremental eigenbasis maintenance: ml::Pca::update folds into the
+  /// Incremental eigenbasis maintenance: ml::TrackedPca::fold folds into the
   /// tracked basis (telemetry — an O(batch·d²) fold, orders of magnitude
   /// cheaper than the pca counter's cold covariance fit) plus basis splices
   /// by Analyzer::refit_incremental. Deliberately excluded from

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -22,6 +25,10 @@ constexpr double kAcceptance = 1e-8;
 constexpr double kZeroPivot = 1e-300;
 /// QL iterations allowed per eigenvalue; tql2 typically needs 1–3.
 constexpr int kMaxQlIterations = 30;
+/// Inverse-iteration solves allowed per eigenvector, and the extra solves run
+/// once the growth test first passes (LAPACK dstein's MAXITS and EXTRA).
+constexpr int kMaxInverseIterations = 5;
+constexpr int kExtraInverseIterations = 2;
 
 /// Sum of squares of off-diagonal entries (convergence measure).
 double off_diagonal_norm(const Matrix& a) {
@@ -59,11 +66,14 @@ double validate_symmetric(const Matrix& input, const std::string& who) {
   return scale;
 }
 
-/// Householder reduction of the symmetric `w` to tridiagonal form (tred2).
-/// On return `d` holds the diagonal, `e[1..n-1]` the subdiagonal and row j of
-/// `w` the j-th column of the orthogonal transform. JAMA's V is stored
-/// transposed, so every inner loop walks a contiguous row.
-void tridiagonalize(Matrix& w, std::vector<double>& d, std::vector<double>& e) {
+/// Householder reduction of the symmetric `w` to tridiagonal form T (the
+/// first half of tred2). On return T's diagonal sits on the diagonal of `w`
+/// and its subdiagonal in e[1..n-1] (e[i] couples rows i-1 and i; e[0] = 0).
+/// Row i of `w`, entries [0, i), holds reflector u_i and d[i] its scale h_i:
+/// with H_i = I − u_i·u_iᵀ/h_i (the identity when h_i == 0) the transform is
+/// Q = H_{n-1}⋯H_1 and A = Q·T·Qᵀ. JAMA's V is stored transposed, so every
+/// inner loop walks a contiguous row.
+void householder_reduce(Matrix& w, std::vector<double>& d, std::vector<double>& e) {
   const std::size_t n = w.rows();
   for (std::size_t j = 0; j < n; ++j) d[j] = w(j, n - 1);
 
@@ -123,8 +133,14 @@ void tridiagonalize(Matrix& w, std::vector<double>& d, std::vector<double>& e) {
     }
     d[i] = h;
   }
+  e[0] = 0.0;
+}
 
-  // Accumulate the transformations.
+/// Second half of tred2: multiplies the reflectors householder_reduce stored
+/// out into Q, leaving row j of `w` the j-th column of Q and T's diagonal in
+/// `d`.
+void accumulate_reflectors(Matrix& w, std::vector<double>& d) {
+  const std::size_t n = w.rows();
   for (std::size_t i = 0; i + 1 < n; ++i) {
     w(i, n - 1) = w(i, i);
     w(i, i) = 1.0;
@@ -146,14 +162,17 @@ void tridiagonalize(Matrix& w, std::vector<double>& d, std::vector<double>& e) {
     w(j, n - 1) = 0.0;
   }
   w(n - 1, n - 1) = 1.0;
-  e[0] = 0.0;
 }
 
-/// Implicit-shift QL on the tridiagonal (d, e) from `tridiagonalize` (tql2).
-/// Leaves the eigenvalues in `d` (unsorted) and eigenvector j in row j of `w`;
-/// each Givens rotation updates two contiguous rows.
-void ql_iterate(Matrix& w, std::vector<double>& d, std::vector<double>& e) {
-  const std::size_t n = w.rows();
+/// Implicit-shift QL on the tridiagonal (d, e) from householder_reduce
+/// (tql2). Leaves the eigenvalues in `d`, unsorted, and hands each Givens
+/// rotation — (i, c, s) mixing rows i and i+1 of the eigenvector matrix — to
+/// `rotate`. The recurrences never read what `rotate` does, so the
+/// eigenvalues come out the same bits with or without eigenvectors.
+template <typename Rotate>
+void ql_iterate(std::vector<double>& d, std::vector<double>& e,
+                const std::string& who, Rotate rotate) {
+  const std::size_t n = d.size();
   for (std::size_t i = 1; i < n; ++i) e[i - 1] = e[i];
   e[n - 1] = 0.0;
 
@@ -172,7 +191,7 @@ void ql_iterate(Matrix& w, std::vector<double>& d, std::vector<double>& e) {
     // m == l: d[l] is already an eigenvalue; otherwise iterate.
     for (int iter = 0; m > l && !negligible(e[l]); ++iter) {
       ensure_numeric(iter < kMaxQlIterations,
-                     "symmetric_eigen_ql: QL iteration did not converge");
+                     who + ": QL iteration did not converge");
       // Implicit shift.
       double g = d[l];
       double p = (d[l + 1] - g) / (2.0 * e[l]);
@@ -205,15 +224,7 @@ void ql_iterate(Matrix& w, std::vector<double>& d, std::vector<double>& e) {
         c = p / r;
         p = c * d[i] - s * g;
         d[i + 1] = h + s * (c * g + s * d[i]);
-
-        // Accumulate the rotation into eigenvector rows i and i+1.
-        const std::span<double> wi = w.row(i);
-        const std::span<double> wn = w.row(i + 1);
-        for (std::size_t k = 0; k < n; ++k) {
-          const double next = wn[k];
-          wn[k] = s * wi[k] + c * next;
-          wi[k] = c * wi[k] - s * next;
-        }
+        rotate(i, c, s);
       }
       p = -s * s2 * c3 * el1 * e[l] / dl1;
       e[l] = s * p;
@@ -224,7 +235,265 @@ void ql_iterate(Matrix& w, std::vector<double>& d, std::vector<double>& e) {
   }
 }
 
+/// Indices of `d` ordered by descending value.
+std::vector<std::size_t> descending_order(const std::vector<double>& d) {
+  std::vector<std::size_t> order(d.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t x, std::size_t y) { return d[x] > d[y]; });
+  return order;
+}
+
+bool all_finite(std::span<const double> values) {
+  return std::all_of(values.begin(), values.end(),
+                     [](double x) { return std::isfinite(x); });
+}
+
+/// T − σI for a symmetric tridiagonal T, factored by Gaussian elimination
+/// with partial pivoting (LAPACK dlagtf): U's diagonal `u0` and its two
+/// superdiagonals `u1`, `u2`, L's multipliers and which steps swapped rows.
+/// Every array is padded to n entries so no step needs an edge case;
+/// factor_shifted refills one in place, so the arrays are allocated once per
+/// solve, not once per eigenvector.
+struct ShiftedLu {
+  std::vector<double> u0;
+  std::vector<double> u1;
+  std::vector<double> u2;
+  std::vector<double> mult;
+  std::vector<unsigned char> swapped;
+  /// Nudge for a pivot too small to divide by: eps·max|U| (eps if U = 0).
+  double tiny = 0.0;
+};
+
+void factor_shifted(std::span<const double> diag, std::span<const double> off,
+                    double sigma, ShiftedLu& lu) {
+  const std::size_t n = diag.size();
+  lu.u0.resize(n);
+  for (std::size_t i = 0; i < n; ++i) lu.u0[i] = diag[i] - sigma;
+  lu.u1.assign(n, 0.0);
+  std::copy(off.begin(), off.end(), lu.u1.begin());
+  lu.u2.assign(n, 0.0);
+  lu.mult.assign(n, 0.0);
+  lu.swapped.assign(n, 0);
+
+  // Pivot on whichever of rows k and k+1 is relatively larger in column k.
+  double scale1 = std::abs(lu.u0[0]) + std::abs(lu.u1[0]);
+  for (std::size_t k = 0; k + 1 < n; ++k) {
+    const double below = off[k];
+    const double scale2 =
+        std::abs(below) + std::abs(lu.u0[k + 1]) + std::abs(lu.u1[k + 1]);
+    const double piv1 = lu.u0[k] == 0.0 ? 0.0 : std::abs(lu.u0[k]) / scale1;
+    if (below == 0.0) {
+      scale1 = scale2;
+    } else if (std::abs(below) / scale2 <= piv1) {
+      scale1 = scale2;
+      lu.mult[k] = below / lu.u0[k];
+      lu.u0[k + 1] -= lu.mult[k] * lu.u1[k];
+    } else {
+      const double m = lu.u0[k] / below;
+      lu.swapped[k] = 1;
+      lu.mult[k] = m;
+      lu.u0[k] = below;
+      const double temp = lu.u0[k + 1];
+      lu.u0[k + 1] = lu.u1[k] - m * temp;
+      if (k + 2 < n) {
+        lu.u2[k] = lu.u1[k + 1];
+        lu.u1[k + 1] = -m * lu.u2[k];
+      }
+      lu.u1[k] = temp;
+    }
+  }
+  double largest = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    largest = std::max({largest, std::abs(lu.u0[i]), std::abs(lu.u1[i]),
+                        std::abs(lu.u2[i])});
+  }
+  const double eps = std::numeric_limits<double>::epsilon();
+  lu.tiny = largest > 0.0 ? eps * largest : eps;
+}
+
+/// Solves (T − σI)·x = y in place from `lu` (LAPACK dlagts, job −1): a pivot
+/// too small to divide `y` by without overflow is nudged by ±tiny, the nudge
+/// doubling until the quotient is safe.
+void solve_shifted(const ShiftedLu& lu, std::span<double> y) {
+  const std::size_t n = y.size();
+  for (std::size_t k = 1; k < n; ++k) {
+    if (lu.swapped[k - 1] == 0) {
+      y[k] -= lu.mult[k - 1] * y[k - 1];
+    } else {
+      const double temp = y[k - 1];
+      y[k - 1] = y[k];
+      y[k] = temp - lu.mult[k - 1] * y[k];
+    }
+  }
+  constexpr double kSafeMin = std::numeric_limits<double>::min();
+  constexpr double kBigNum = 1.0 / kSafeMin;
+  for (std::size_t k = n; k-- > 0;) {
+    double temp = y[k];
+    if (k + 1 < n) temp -= lu.u1[k] * y[k + 1];
+    if (k + 2 < n) temp -= lu.u2[k] * y[k + 2];
+    double pivot = lu.u0[k];
+    double nudge = std::copysign(lu.tiny, pivot);
+    while (std::abs(pivot) < 1.0) {
+      const double size = std::abs(pivot);
+      if (size < kSafeMin) {
+        if (size != 0.0 && std::abs(temp) * kSafeMin <= size) {
+          temp *= kBigNum;
+          pivot *= kBigNum;
+          break;
+        }
+      } else if (std::abs(temp) <= size * kBigNum) {
+        break;
+      }
+      pivot += nudge;
+      nudge *= 2.0;
+    }
+    y[k] = temp / pivot;
+  }
+}
+
+/// Next entry of the fixed start-vector stream: splitmix64, mapped to
+/// [-1, 1).
+double next_start_entry(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  z ^= z >> 31;
+  return static_cast<double>(z >> 11) * 0x1.0p-52 - 1.0;
+}
+
+double max_abs(std::span<const double> x) {
+  double peak = 0.0;
+  for (const double v : x) peak = std::max(peak, std::abs(v));
+  return peak;
+}
+
+/// x ← x − Σ (z_i·x)·z_i over rows [first, last) of `z` (modified
+/// Gram–Schmidt).
+void orthogonalize(std::span<double> x, const Matrix& z, std::size_t first,
+                   std::size_t last) {
+  for (std::size_t i = first; i < last; ++i) {
+    const std::span<const double> zi = z.row(i);
+    double c = 0.0;
+    for (std::size_t t = 0; t < x.size(); ++t) c += zi[t] * x[t];
+    for (std::size_t t = 0; t < x.size(); ++t) x[t] -= c * zi[t];
+  }
+}
+
+/// x ← Q·x for every column x of `v` (n × k), where Q = H_{n-1}⋯H_1 is the
+/// transform householder_reduce left in `w` (reflectors) and `h` (their
+/// scales): maps eigenvectors of T to eigenvectors of A in 2·n² flops each.
+/// Row t of `v` holds coordinate t of every vector, so the inner loops run
+/// across the k vectors at once.
+void apply_reflectors(const Matrix& w, const std::vector<double>& h, Matrix& v) {
+  const std::size_t n = w.rows();
+  const std::size_t k = v.cols();
+  std::vector<double> g(k);
+  for (std::size_t i = 1; i < n; ++i) {
+    if (h[i] == 0.0) continue;
+    const std::span<const double> u = w.row(i);
+    std::fill(g.begin(), g.end(), 0.0);
+    for (std::size_t t = 0; t < i; ++t) {
+      const double ut = u[t];
+      const std::span<const double> vt = std::as_const(v).row(t);
+      for (std::size_t r = 0; r < k; ++r) g[r] += ut * vt[r];
+    }
+    for (std::size_t t = 0; t < i; ++t) {
+      const double scaled = u[t] / h[i];
+      const std::span<double> vt = v.row(t);
+      for (std::size_t r = 0; r < k; ++r) vt[r] -= g[r] * scaled;
+    }
+  }
+}
+
 }  // namespace
+
+namespace detail {
+
+Matrix tridiagonal_eigenvectors(std::vector<double> diag, std::vector<double> off,
+                                std::span<const double> lambda) {
+  const std::string who = "symmetric_eigen_leading";
+  const std::size_t n = diag.size();
+  ensure(n > 0 && off.size() + 1 == n && lambda.size() <= n,
+         who + ": tridiagonal shape mismatch");
+  Matrix z(lambda.size(), n);
+  if (lambda.empty()) return z;
+
+  // Scale T by a power of two to a 1-norm in [0.5, 1): exact, and it makes
+  // every tolerance below relative to ‖T‖.
+  double norm = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    double row = std::abs(diag[i]);
+    if (i > 0) row += std::abs(off[i - 1]);
+    if (i + 1 < n) row += std::abs(off[i]);
+    norm = std::max(norm, row);
+  }
+  ensure_numeric(std::isfinite(norm), who + ": the solve overflowed");
+  int exponent = 0;
+  if (norm > 0.0) (void)std::frexp(norm, &exponent);
+  for (double& v : diag) v = std::ldexp(v, -exponent);
+  for (double& v : off) v = std::ldexp(v, -exponent);
+
+  const double eps = std::numeric_limits<double>::epsilon();
+  const double growth = std::sqrt(0.1 / static_cast<double>(n));
+  const double scaled_norm = std::ldexp(norm, -exponent);
+  const double cluster_gap = 1e-3 * scaled_norm;
+  // Shifts closer than this to the previous one are nudged apart. dstein
+  // scales it by |σ|, which vanishes for eigenvalues at rounding level
+  // below ‖T‖ (rank-deficient or graded input): every such shift would then
+  // factor the same near-singular matrix, the solve would amplify the whole
+  // near-null space by up to 1/ε², and re-orthogonalisation could not
+  // recover the new direction.
+  const double separation = 10.0 * eps * scaled_norm;
+  std::uint64_t stream = 0;
+  std::vector<double> x(n);
+  ShiftedLu lu;
+  double shift = 0.0;
+  std::size_t cluster = 0;  // first vector of the current cluster
+  for (std::size_t j = 0; j < lambda.size(); ++j) {
+    double sigma = std::ldexp(lambda[j], -exponent);
+    if (j > 0 && shift - sigma < separation) sigma = shift - separation;
+    if (j > 0 && shift - sigma > cluster_gap) cluster = j;
+    shift = sigma;
+    factor_shifted(diag, off, sigma, lu);
+
+    for (double& v : x) v = next_start_entry(stream);
+    for (int iteration = 0, passed = 0;; ++iteration) {
+      ensure_numeric(iteration < kMaxInverseIterations,
+                     who + ": inverse iteration did not converge");
+      // Scale the right-hand side so an accurate shift solves to about n.
+      const double scale =
+          static_cast<double>(n) * std::max(eps, std::abs(lu.u0[n - 1])) / max_abs(x);
+      for (double& v : x) v *= scale;
+      solve_shifted(lu, x);
+      orthogonalize(x, z, cluster, j);
+      if (max_abs(x) >= growth && ++passed > kExtraInverseIterations) break;
+    }
+    // One pass against every earlier vector: the second for the cluster
+    // (twice is enough), and it takes the rounding/gap overlap off the
+    // separated ones.
+    orthogonalize(x, z, 0, j);
+
+    // Normalise by the largest entry first so squaring cannot overflow, and
+    // make that entry positive.
+    std::size_t peak = 0;
+    for (std::size_t t = 1; t < n; ++t) {
+      if (std::abs(x[t]) > std::abs(x[peak])) peak = t;
+    }
+    const double top = x[peak];
+    double norm_sq = 0.0;
+    for (double& v : x) {
+      v /= top;
+      norm_sq += v * v;
+    }
+    const double unit = 1.0 / std::sqrt(norm_sq);
+    const std::span<double> row = z.row(j);
+    for (std::size_t t = 0; t < n; ++t) row[t] = x[t] * unit;
+  }
+  return z;
+}
+
+}  // namespace detail
 
 SymmetricEigenResult symmetric_eigen(const Matrix& input) {
   const double scale = validate_symmetric(input, "symmetric_eigen");
@@ -295,24 +564,30 @@ SymmetricEigenResult symmetric_eigen(const Matrix& input) {
 }
 
 SymmetricEigenResult symmetric_eigen_ql(const Matrix& input) {
-  validate_symmetric(input, "symmetric_eigen_ql");
+  const std::string who = "symmetric_eigen_ql";
+  validate_symmetric(input, who);
   const std::size_t n = input.rows();
 
   Matrix w = input;
   std::vector<double> d(n);
   std::vector<double> e(n);
-  tridiagonalize(w, d, e);
-  ql_iterate(w, d, e);
-  const auto finite = [](double x) { return std::isfinite(x); };
-  ensure_numeric(std::all_of(d.begin(), d.end(), finite) &&
-                     std::all_of(w.data().begin(), w.data().end(), finite),
-                 "symmetric_eigen_ql: the solve overflowed");
+  householder_reduce(w, d, e);
+  accumulate_reflectors(w, d);
+  // Each Givens rotation updates two contiguous eigenvector rows.
+  ql_iterate(d, e, who, [&w](std::size_t i, double c, double s) {
+    const std::span<double> wi = w.row(i);
+    const std::span<double> wn = w.row(i + 1);
+    for (std::size_t k = 0; k < wi.size(); ++k) {
+      const double next = wn[k];
+      wn[k] = s * wi[k] + c * next;
+      wi[k] = c * wi[k] - s * next;
+    }
+  });
+  ensure_numeric(all_finite(d) && all_finite(w.data()),
+                 who + ": the solve overflowed");
 
   // Un-transpose while sorting by descending eigenvalue.
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t x, std::size_t y) { return d[x] > d[y]; });
+  const std::vector<std::size_t> order = descending_order(d);
   SymmetricEigenResult result;
   result.eigenvalues.resize(n);
   result.eigenvectors = Matrix(n, n);
@@ -321,6 +596,43 @@ SymmetricEigenResult symmetric_eigen_ql(const Matrix& input) {
     const std::span<const double> vector = w.row(order[j]);
     for (std::size_t i = 0; i < n; ++i) result.eigenvectors(i, j) = vector[i];
   }
+  return result;
+}
+
+SymmetricEigenResult symmetric_eigen_leading(const Matrix& input, std::size_t k) {
+  const std::string who = "symmetric_eigen_leading";
+  validate_symmetric(input, who);
+  const std::size_t n = input.rows();
+  ensure(k <= n, who + ": k exceeds the matrix order");
+
+  // The reduction and QL recurrences of symmetric_eigen_ql, without the
+  // accumulation or the rotations: the same eigenvalue bits.
+  Matrix w = input;
+  std::vector<double> h(n);
+  std::vector<double> e(n);
+  householder_reduce(w, h, e);
+  std::vector<double> diag(n);
+  for (std::size_t i = 0; i < n; ++i) diag[i] = w(i, i);
+  std::vector<double> off(e.begin() + 1, e.end());
+  std::vector<double> d = diag;
+  ql_iterate(d, e, who, [](std::size_t, double, double) {});
+  ensure_numeric(all_finite(d), who + ": the solve overflowed");
+
+  SymmetricEigenResult result;
+  result.eigenvalues.resize(n);
+  const std::vector<std::size_t> order = descending_order(d);
+  for (std::size_t j = 0; j < n; ++j) result.eigenvalues[j] = d[order[j]];
+
+  // The k leading eigenvectors: inverse iteration on T, then back through
+  // the reflectors.
+  result.eigenvectors =
+      detail::tridiagonal_eigenvectors(
+          std::move(diag), std::move(off),
+          std::span<const double>(result.eigenvalues).first(k))
+          .transposed();
+  apply_reflectors(w, h, result.eigenvectors);
+  ensure_numeric(all_finite(result.eigenvectors.data()),
+                 who + ": the solve overflowed");
   return result;
 }
 

@@ -24,7 +24,7 @@ namespace flare::linalg {
 /// streams past. Tasks own whole tile-rows of the output, so `pool` changes
 /// no bit.
 /// Callers: covariance_matrix (means = column means), the out-of-core
-/// comoment fold (block means), Pca::update's Gram matrix and the drift
+/// comoment fold (block means), TrackedPca::fold's Gram matrix and the drift
 /// residual's RᵀR (means = 0).
 [[nodiscard]] Matrix centered_cross_products(const Matrix& data,
                                              std::span<const double> means,
@@ -37,7 +37,8 @@ namespace flare::linalg {
 /// and vectorises. An empty `centre` means no centring. Tasks own output
 /// rows, so `pool` changes no bit.
 /// Callers: Matrix::multiply (no centre), Pca::transform (centre = PCA
-/// mean, cols = kept components) and Pca::update (centre = batch mean).
+/// mean, cols = kept components) and TrackedPca::fold (centre = batch
+/// mean).
 [[nodiscard]] Matrix centered_product(const Matrix& a,
                                       std::span<const double> centre,
                                       const Matrix& b, std::size_t cols,

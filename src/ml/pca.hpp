@@ -6,31 +6,22 @@
 // loadings (Fig. 8). This class exposes exactly those pieces: scores,
 // explained-variance ratios, and per-component loadings.
 //
-// Beyond the batch fit, `update()` folds fresh rows into the fitted basis
-// with a block Brand-style eigenbasis update (see DESIGN.md §9): the merged
-// covariance is assembled *in the current eigenbasis*, where it is
-// near-diagonal, and diagonalised by a Householder + implicit-QL solve
-// (linalg::symmetric_eigen_ql) instead of re-reading every historical row;
-// the batch fit keeps the cold Jacobi solve, whose bits are pinned. The
-// update is algebraically exact — up to floating-point rounding it matches a
-// from-scratch fit over the concatenated rows — and the class tracks the
-// principal angle between the current basis and a caller-chosen *anchor*
-// subspace so the ingest path can gate a full refit on accumulated drift.
+// The class holds a fitted basis only: the batch fit by the cold Jacobi
+// solve (whose bits the golden hashes pin), or one built from covariance
+// moments. Streamed ingest does not advance it in place — it folds batches
+// into an ml::TrackedPca (tracked_pca.hpp), which keeps only what the drift
+// gate needs per batch and materialises a full Pca when a splice refit asks
+// for one. A Pca has no lazily filled state, so concurrent const readers
+// (serve snapshots) need no locking.
 #pragma once
 
 #include "linalg/matrix.hpp"
 
+namespace flare::linalg {
+struct SymmetricEigenResult;
+}
+
 namespace flare::ml {
-
-class Standardizer;
-
-/// Telemetry for one incremental eigenbasis update.
-struct PcaUpdateStats {
-  std::size_t batch_rows = 0;   ///< rows folded in by this call
-  std::size_t total_rows = 0;   ///< observations behind the basis afterwards
-  double mean_shift = 0.0;      ///< ‖batch mean − running mean‖₂ before folding
-  double subspace_drift = 0.0;  ///< sin(max principal angle) vs anchor afterwards
-};
 
 class Pca {
  public:
@@ -41,23 +32,6 @@ class Pca {
   /// Throws util::NumericalError when rows < cols: the sample covariance is
   /// then rank-deficient and the trailing eigenpairs are unidentifiable.
   void fit(const linalg::Matrix& data, util::ThreadPool* pool = nullptr);
-
-  /// Folds a batch of fresh rows (same coordinate frame as the fit data) into
-  /// the eigenbasis without revisiting historical rows. `batch_moments` must
-  /// be a Standardizer fitted over exactly `batch`'s rows — the same Welford
-  /// moments `Standardizer::merge` folds, so streamed ingest maintains both
-  /// structures from one profiling pass. Matches a from-scratch fit over the
-  /// concatenated rows up to floating-point rounding (property-tested bound:
-  /// subspace angle ≤ 1e-6, explained-variance ratios within 1e-8 after ≥ 8
-  /// batches). Cost is O((n_batch + d)·d²) versus O(n_total·d²) plus a cold
-  /// eigensolve for a refit.
-  PcaUpdateStats update(const linalg::Matrix& batch,
-                        const Standardizer& batch_moments,
-                        util::ThreadPool* pool = nullptr);
-
-  /// Convenience overload that fits the batch moments internally.
-  PcaUpdateStats update(const linalg::Matrix& batch,
-                        util::ThreadPool* pool = nullptr);
 
   /// Fits from an externally accumulated covariance instead of raw rows —
   /// the out-of-core path assembles the covariance of the standardised kept
@@ -99,42 +73,30 @@ class Pca {
   /// Raw eigenvalues of the covariance matrix, descending.
   [[nodiscard]] const std::vector<double>& eigenvalues() const;
 
-  /// Anchors the current leading-`k` subspace as the drift reference — the
-  /// projection basis a caller keeps using while updates accumulate. Resets
-  /// subspace_drift() to zero; call again after any refit ("rebase").
-  void set_drift_anchor(std::size_t k);
-
-  [[nodiscard]] bool has_drift_anchor() const { return anchor_.cols() > 0; }
-  [[nodiscard]] std::size_t drift_anchor_components() const {
-    return anchor_.cols();
-  }
-
-  /// sin of the largest principal angle between the anchored subspace and the
-  /// current leading-k eigenbasis (0 when unanchored). A small value means
-  /// scores projected through the anchor remain faithful to the updated
-  /// covariance; core/drift.cpp gates warm refits on it.
-  [[nodiscard]] double subspace_drift() const { return drift_; }
-
-  /// Observations behind the fitted moments (fit sets it, update accumulates).
+  /// Observations behind the fitted moments.
   [[nodiscard]] std::size_t observations() const { return count_; }
 
-  /// Per-variable mean of every observation folded in so far.
+  /// Per-variable mean of the fit data.
   [[nodiscard]] const std::vector<double>& mean() const { return mean_; }
 
   [[nodiscard]] std::size_t dimension() const { return mean_.size(); }
   [[nodiscard]] bool fitted() const { return !mean_.empty(); }
 
  private:
+  friend class TrackedPca;
+
+  /// Adopts a decomposition as the fitted basis: clamps round-off negative
+  /// eigenvalues to zero, fixes each axis' sign (largest-|loading| entry
+  /// positive) and recomputes the ratios. Every way of fitting ends here.
+  void set_basis(std::vector<double> mean, linalg::SymmetricEigenResult eig,
+                 std::size_t count);
   void recompute_ratios();
-  [[nodiscard]] double drift_against_anchor() const;
 
   std::vector<double> mean_;
   linalg::Matrix components_;  // dim × dim, column j = j-th axis
   std::vector<double> eigenvalues_;
   std::vector<double> explained_ratio_;
-  std::size_t count_ = 0;   ///< rows behind the moments
-  linalg::Matrix anchor_;   ///< dim × k reference subspace for drift tracking
-  double drift_ = 0.0;      ///< cached drift_against_anchor() after updates
+  std::size_t count_ = 0;  ///< rows behind the moments
 };
 
 }  // namespace flare::ml

@@ -1,16 +1,20 @@
-// Oracle for the QL eigensolver: symmetric_eigen_ql against the cyclic
-// Jacobi symmetric_eigen over every matrix family the PCA paths can hand it,
-// n from 1 to 130, on the seeded property harness.
+// Oracles for the tridiagonal eigensolvers over every matrix family the PCA
+// paths can hand them, n from 1 to 130, on the seeded property harness:
+// symmetric_eigen_ql against the cyclic Jacobi symmetric_eigen, and
+// symmetric_eigen_leading against both.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "linalg/eigen.hpp"
 #include "stats/rng.hpp"
+#include "tests/util/matrix_matchers.hpp"
 #include "tests/util/property.hpp"
 
 namespace flare::linalg {
@@ -229,6 +233,119 @@ TEST(SymmetricEigenQlOracle, CoversEverySizeUpToTheSchemaWidth) {
     SCOPED_TRACE("n " + std::to_string(n));
     check_against_oracle(make_instance(static_cast<int>(n % kFamilies), n, rng));
   }
+}
+
+// ---- symmetric_eigen_leading: the spectrum and k leading vectors ----
+
+/// symmetric_eigen_leading(m, k) against the full solvers: eigenvalues the
+/// same bits as symmetric_eigen_ql's; every returned vector an eigenvector
+/// (‖AZ − ZΛ‖_F ≤ 1e-12·‖A‖_F); Z orthonormal to 1e-13; and, where
+/// λ_k − λ_{k+1} > 1e-4·‖A‖_F separates the leading block, its span within
+/// sin θ ≤ 1e-10 of QL's and within Jacobi's own accuracy of Jacobi's. At a
+/// tie only the first three hold.
+void check_leading(const Matrix& m, std::size_t k, const SymmetricEigenResult& ql,
+                   const SymmetricEigenResult& jacobi) {
+  const std::size_t n = m.rows();
+  const double norm = m.frobenius_norm();
+  const SymmetricEigenResult leading = symmetric_eigen_leading(m, k);
+  ASSERT_EQ(leading.eigenvalues.size(), n);
+  ASSERT_EQ(leading.eigenvectors.rows(), n);
+  ASSERT_EQ(leading.eigenvectors.cols(), k);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(leading.eigenvalues[i]),
+              std::bit_cast<std::uint64_t>(ql.eigenvalues[i]))
+        << "eigenvalue " << i << " of " << n << ": " << leading.eigenvalues[i]
+        << " vs " << ql.eigenvalues[i];
+  }
+
+  const Matrix& z = leading.eigenvectors;
+  double residual_sq = 0.0;
+  for (std::size_t j = 0; j < k; ++j) {
+    for (std::size_t i = 0; i < n; ++i) {
+      double az = 0.0;
+      for (std::size_t t = 0; t < n; ++t) az += m(i, t) * z(t, j);
+      const double r = az - leading.eigenvalues[j] * z(i, j);
+      residual_sq += r * r;
+    }
+  }
+  EXPECT_LE(std::sqrt(residual_sq), 1e-12 * norm) << "n " << n << ", k " << k;
+  double orthonormality = 0.0;
+  for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t j = 0; j < k; ++j) {
+      double gram = 0.0;
+      for (std::size_t t = 0; t < n; ++t) gram += z(t, i) * z(t, j);
+      orthonormality = std::max(orthonormality, std::abs(gram - (i == j ? 1.0 : 0.0)));
+    }
+  }
+  EXPECT_LE(orthonormality, 1e-13) << "n " << n << ", k " << k;
+
+  if (k == 0 || k == n) return;
+  const double gap = jacobi.eigenvalues[k - 1] - jacobi.eigenvalues[k];
+  if (!(gap > 1e-4 * norm)) return;
+  EXPECT_LE(testing::subspace_sin_bound(ql.eigenvectors, z, k), 1e-10)
+      << "n " << n << ", k " << k << " vs QL";
+  // Jacobi stops once its off-diagonal norm is below 1e-12·‖A‖, so its own
+  // vectors are good only to that over the gap (Davis–Kahan).
+  EXPECT_LE(testing::subspace_sin_bound(jacobi.eigenvectors, z, k),
+            1e-10 + 1e-12 * norm / gap)
+      << "n " << n << ", k " << k << " vs Jacobi";
+}
+
+TEST(SymmetricEigenLeadingOracle, MatchesFullSolversOnEveryMatrixFamily) {
+  FLARE_CHECK_PROPERTY(16, 0xE19u, [](stats::Rng& rng, double scale) {
+    const std::size_t n = std::max<std::size_t>(
+        1, static_cast<std::size_t>(std::lround(scale * rng.uniform_int(1, 130))));
+    for (int family = 0; family < kFamilies; ++family) {
+      const Matrix m = make_instance(family, n, rng);
+      const SymmetricEigenResult ql = symmetric_eigen_ql(m);
+      const SymmetricEigenResult jacobi = oracle(m);
+      for (const std::size_t k :
+           {std::size_t{0}, std::size_t{1}, n, rng.uniform_int(0, n)}) {
+        SCOPED_TRACE("family " + std::to_string(family) + ", n " +
+                     std::to_string(n) + ", k " + std::to_string(k));
+        check_leading(m, k, ql, jacobi);
+      }
+    }
+  });
+}
+
+TEST(SymmetricEigenLeadingOracle, CoversEverySizeAndEveryK) {
+  // Every n in [1, 130], and for each a spread of k covering 0..n, so no
+  // shape is left to the sampler's luck.
+  stats::Rng rng(0xE1Au);
+  for (std::size_t n = 1; n <= 130; ++n) {
+    const Matrix m = make_instance(static_cast<int>(n % kFamilies), n, rng);
+    const SymmetricEigenResult ql = symmetric_eigen_ql(m);
+    const SymmetricEigenResult jacobi = oracle(m);
+    const std::size_t step = std::max<std::size_t>(1, n / 7);
+    for (std::size_t k = n % step; k <= n; k += step) {
+      SCOPED_TRACE("n " + std::to_string(n) + ", k " + std::to_string(k));
+      check_leading(m, k, ql, jacobi);
+    }
+  }
+}
+
+TEST(SymmetricEigenLeadingOracle, RepeatedAndTiedLeadingEigenvalues) {
+  FLARE_CHECK_PROPERTY(12, 0xE1Bu, [](stats::Rng& rng, double scale) {
+    const std::size_t n = std::max<std::size_t>(
+        6, static_cast<std::size_t>(std::lround(scale * rng.uniform_int(6, 130))));
+    // A leading block with a triple eigenvalue inside it, a separated tail,
+    // and — at k = tie — an exact λ_k = λ_{k+1}.
+    const std::size_t tie = rng.uniform_int(4, n - 2);
+    std::vector<double> values(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      values[i] = i < tie ? 10.0 + static_cast<double>(tie - i) : rng.uniform(-1.0, 1.0);
+    }
+    values[0] = values[1] = values[2] = 50.0;
+    values[tie - 1] = values[tie] = 5.0;
+    const Matrix m = with_spectrum(values, rng);
+    const SymmetricEigenResult ql = symmetric_eigen_ql(m);
+    const SymmetricEigenResult jacobi = oracle(m);
+    for (const std::size_t k : {std::size_t{2}, std::size_t{3}, tie, tie + 1, tie - 1}) {
+      SCOPED_TRACE("n " + std::to_string(n) + ", k " + std::to_string(k));
+      check_leading(m, k, ql, jacobi);
+    }
+  });
 }
 
 }  // namespace

@@ -195,10 +195,14 @@ TEST(SymmetricEigen, RejectsNonFiniteInputNamingTheEntry) {
               std::string::npos);
     EXPECT_NE(fault_message(ql, m).find("non-finite entry at (1, 2)"),
               std::string::npos);
+    const auto leading = [](const Matrix& x) { return symmetric_eigen_leading(x, 2); };
+    EXPECT_NE(fault_message(leading, m).find("non-finite entry at (1, 2)"),
+              std::string::npos);
     Matrix one(1, 1);
     one(0, 0) = bad;
     EXPECT_THROW((void)symmetric_eigen(one), FaultError);
     EXPECT_THROW((void)symmetric_eigen_ql(one), FaultError);
+    EXPECT_THROW((void)symmetric_eigen_leading(one, 0), FaultError);
   }
 }
 
@@ -214,6 +218,100 @@ TEST(SymmetricEigenQl, OverflowingReductionHitsTheIterationCap) {
     FAIL() << "an overflowing solve must throw";
   } catch (const NumericalError& e) {
     EXPECT_NE(std::string(e.what()).find("did not converge"), std::string::npos);
+  }
+}
+
+TEST(SymmetricEigenLeading, ValidatesShapeAndK) {
+  const Matrix m = random_symmetric(4, 11);
+  EXPECT_THROW((void)symmetric_eigen_leading(m, 5), std::invalid_argument);
+  EXPECT_THROW((void)symmetric_eigen_leading(Matrix(2, 3), 1), std::invalid_argument);
+  EXPECT_THROW((void)symmetric_eigen_leading(Matrix(), 0), std::invalid_argument);
+  Matrix asym = m;
+  asym(0, 3) += 1.0;
+  EXPECT_THROW((void)symmetric_eigen_leading(asym, 1), std::invalid_argument);
+  // k == 0 is the spectrum alone; k == n every vector.
+  EXPECT_EQ(symmetric_eigen_leading(m, 0).eigenvectors.cols(), 0u);
+  EXPECT_EQ(symmetric_eigen_leading(m, 0).eigenvalues.size(), 4u);
+  EXPECT_EQ(symmetric_eigen_leading(m, 4).eigenvectors.cols(), 4u);
+}
+
+TEST(SymmetricEigenLeading, OverflowingReductionHitsTheIterationCap) {
+  // The eigenvalue half runs the same capped QL recurrences as
+  // symmetric_eigen_ql, so the same NaN reduction stops at the same cap.
+  const double big = std::numeric_limits<double>::max();
+  const Matrix m = Matrix::from_rows({{big, big}, {big, -big}});
+  try {
+    (void)symmetric_eigen_leading(m, 1);
+    FAIL() << "an overflowing solve must throw";
+  } catch (const NumericalError& e) {
+    EXPECT_NE(std::string(e.what()).find("did not converge"), std::string::npos);
+  }
+}
+
+TEST(SymmetricEigenLeading, OverflowingSpectrumThrowsNumericalError) {
+  // Finite entries whose eigenvalue 2·max overflows: a non-finite result
+  // throws instead of coming back.
+  const double big = std::numeric_limits<double>::max();
+  const Matrix m = Matrix::from_rows({{big, big}, {big, big}});
+  EXPECT_THROW((void)symmetric_eigen_ql(m), NumericalError);
+  for (const std::size_t k : {0u, 1u, 2u}) {
+    EXPECT_THROW((void)symmetric_eigen_leading(m, k), NumericalError) << "k " << k;
+  }
+}
+
+TEST(SymmetricEigenLeading, InverseIterationIsCapped) {
+  // A poisoned shift never passes the growth test: the iteration stops at
+  // its cap with NumericalError instead of spinning or returning NaN.
+  const std::vector<double> diag{2.0, 1.0, 0.5};
+  const std::vector<double> off{0.25, 0.125};
+  const std::vector<double> poisoned{std::numeric_limits<double>::quiet_NaN()};
+  try {
+    (void)detail::tridiagonal_eigenvectors(diag, off, poisoned);
+    FAIL() << "a NaN shift must throw";
+  } catch (const NumericalError& e) {
+    EXPECT_NE(std::string(e.what()).find("inverse iteration did not converge"),
+              std::string::npos);
+  }
+  // An overflowing tridiagonal is refused before any solve.
+  const double big = std::numeric_limits<double>::max();
+  const std::vector<double> huge{big, big};
+  const std::vector<double> huge_off{big};
+  const std::vector<double> shift{1.0};
+  EXPECT_THROW((void)detail::tridiagonal_eigenvectors(huge, huge_off, shift),
+               NumericalError);
+  // And a malformed one is refused outright.
+  EXPECT_THROW((void)detail::tridiagonal_eigenvectors({}, {}, {}),
+               std::invalid_argument);
+  EXPECT_THROW((void)detail::tridiagonal_eigenvectors(diag, diag, shift),
+               std::invalid_argument);
+  EXPECT_THROW((void)detail::tridiagonal_eigenvectors({1.0}, {}, diag),
+               std::invalid_argument);
+}
+
+TEST(SymmetricEigenLeading, TridiagonalVectorsAreUnitEigenvectors) {
+  // T = tridiag(1, 2, 1) of order 5 has λ_j = 2 + 2·cos(jπ/6), j = 1..5.
+  const std::size_t n = 5;
+  const std::vector<double> diag(n, 2.0);
+  const std::vector<double> off(n - 1, 1.0);
+  std::vector<double> lambda;
+  for (std::size_t j = 1; j <= n; ++j) {
+    lambda.push_back(2.0 + 2.0 * std::cos(static_cast<double>(j) * M_PI / 6.0));
+  }
+  const Matrix z = detail::tridiagonal_eigenvectors(diag, off, lambda);
+  ASSERT_EQ(z.rows(), n);
+  for (std::size_t j = 0; j < n; ++j) {
+    double norm_sq = 0.0;
+    double largest = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      double tz = diag[i] * z(j, i);
+      if (i > 0) tz += off[i - 1] * z(j, i - 1);
+      if (i + 1 < n) tz += off[i] * z(j, i + 1);
+      EXPECT_NEAR(tz, lambda[j] * z(j, i), 1e-14) << "vector " << j;
+      norm_sq += z(j, i) * z(j, i);
+      if (std::abs(z(j, i)) > std::abs(largest)) largest = z(j, i);
+    }
+    EXPECT_NEAR(norm_sq, 1.0, 1e-15);
+    EXPECT_GT(largest, 0.0);
   }
 }
 

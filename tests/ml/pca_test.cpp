@@ -10,8 +10,6 @@
 #include "stats/descriptive.hpp"
 #include "stats/rng.hpp"
 #include "tests/util/generators.hpp"
-#include "tests/util/matrix_matchers.hpp"
-#include "tests/util/property.hpp"
 #include "util/error.hpp"
 
 namespace flare::ml {
@@ -202,189 +200,6 @@ TEST_P(PcaDimensionSweep, InvariantsHoldAcrossDimensions) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Dims, PcaDimensionSweep, ::testing::Values(1, 2, 4, 8, 16, 32));
-
-// ---- Incremental update (Pca::update, DESIGN.md §9) ----
-
-TEST(PcaUpdate, ValidatesArguments) {
-  Pca pca;
-  EXPECT_THROW(pca.update(Matrix(3, 3)), std::invalid_argument);  // not fitted
-  pca.fit(anisotropic_data(50, 30));
-  EXPECT_THROW(pca.update(Matrix(0, 3)), std::invalid_argument);
-  EXPECT_THROW(pca.update(Matrix(5, 2)), std::invalid_argument);
-  Standardizer wrong_rows;
-  wrong_rows.fit(anisotropic_data(7, 31));
-  EXPECT_THROW(pca.update(anisotropic_data(5, 31), wrong_rows),
-               std::invalid_argument);
-  const Standardizer unfitted;
-  EXPECT_THROW(pca.update(anisotropic_data(5, 31), unfitted),
-               std::invalid_argument);
-}
-
-TEST(PcaUpdate, SingleBatchMatchesFromScratchFit) {
-  stats::Rng rng(32);
-  const Matrix all = testing::low_rank_noise_matrix(rng, 160, 12, 4);
-  Pca incremental;
-  incremental.fit(testing::rows_slice(all, 0, 120));
-  incremental.update(testing::rows_slice(all, 120, 160));
-  Pca cold;
-  cold.fit(all);
-  EXPECT_EQ(incremental.observations(), 160u);
-  for (std::size_t i = 0; i < 12; ++i) {
-    EXPECT_NEAR(incremental.explained_variance_ratio()[i],
-                cold.explained_variance_ratio()[i], 1e-10);
-  }
-  EXPECT_TRUE(testing::SubspacesNear(incremental.components(),
-                                     cold.components(), 4, 1e-8));
-}
-
-TEST(PcaUpdate, AcceptsPrefittedWelfordMoments) {
-  stats::Rng rng(33);
-  const Matrix all = testing::low_rank_noise_matrix(rng, 90, 8, 3);
-  const Matrix batch = testing::rows_slice(all, 60, 90);
-  Standardizer moments;
-  moments.fit(batch);
-  Pca via_moments, via_convenience;
-  via_moments.fit(testing::rows_slice(all, 0, 60));
-  via_convenience.fit(testing::rows_slice(all, 0, 60));
-  via_moments.update(batch, moments);
-  via_convenience.update(batch);
-  // The convenience overload fits the same Welford moments internally.
-  EXPECT_TRUE(testing::MatricesNear(via_moments.components(),
-                                    via_convenience.components(), 0.0));
-}
-
-TEST(PcaUpdate, DriftAnchorTracksSubspaceRotation) {
-  stats::Rng rng(34);
-  // One population, split into fit + batch, so both share factor directions.
-  const Matrix all = testing::low_rank_noise_matrix(rng, 120, 6, 2);
-  Pca pca;
-  pca.fit(testing::rows_slice(all, 0, 80));
-  EXPECT_FALSE(pca.has_drift_anchor());
-  EXPECT_DOUBLE_EQ(pca.subspace_drift(), 0.0);
-  pca.set_drift_anchor(2);
-  EXPECT_TRUE(pca.has_drift_anchor());
-  EXPECT_EQ(pca.drift_anchor_components(), 2u);
-  EXPECT_DOUBLE_EQ(pca.subspace_drift(), 0.0);
-  // Same-distribution batches barely rotate the basis...
-  pca.update(testing::rows_slice(all, 80, 120));
-  EXPECT_LT(pca.subspace_drift(), 0.2);
-  // ...while a batch drawn from fresh factor directions rotates it hard.
-  pca.update(testing::low_rank_noise_matrix(rng, 400, 6, 2, 1.0));
-  EXPECT_GT(pca.subspace_drift(), 0.2);
-  EXPECT_LE(pca.subspace_drift(), 1.0);
-  // Re-anchoring resets the reference frame.
-  pca.set_drift_anchor(2);
-  EXPECT_DOUBLE_EQ(pca.subspace_drift(), 0.0);
-}
-
-TEST(PcaUpdate, BatchThatCannotRotateTheBasisReportsNoDrift) {
-  // Two rows μ ± 0.5·v₁: no mean shift, scatter along an existing axis, so
-  // the basis cannot rotate. √(1 − λ_min(AᵀA)) turned the 1e-16 rounding of
-  // AᵀA into ~1e-8 of drift here; the residual form keeps it at rounding.
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    stats::Rng rng(seed);
-    const Matrix data = testing::low_rank_noise_matrix(rng, 60, 8, 3);
-    Pca pca;
-    pca.fit(data);
-    pca.set_drift_anchor(3);
-    Matrix batch(2, 8);
-    for (std::size_t c = 0; c < 8; ++c) {
-      const double axis = 0.5 * pca.components()(c, 0);
-      batch(0, c) = pca.mean()[c] + axis;
-      batch(1, c) = pca.mean()[c] - axis;
-    }
-    pca.update(batch);
-    EXPECT_LE(pca.subspace_drift(), 1e-12) << "seed " << seed;
-  }
-}
-
-TEST(PcaUpdateProperty, DriftMatchesTheCosineFormulaAwayFromZero) {
-  // Where the old √(1 − cos²) form is well conditioned (drift ≥ 1e-3), the
-  // residual form must agree with it.
-  FLARE_CHECK_PROPERTY(20, 0x9CCu, [](stats::Rng& rng, double scale) {
-    const std::size_t d = std::max<std::size_t>(4, static_cast<std::size_t>(20 * scale));
-    const std::size_t k = std::max<std::size_t>(1, d / 3);
-    const Matrix all = testing::low_rank_noise_matrix(rng, 6 * d, d, k + 1);
-    Pca pca;
-    pca.fit(testing::rows_slice(all, 0, 3 * d));
-    pca.set_drift_anchor(k);
-    const Matrix anchor = pca.components();
-    // Half the batches come from the fitted population, half from fresh
-    // factor directions that rotate the basis hard.
-    const std::size_t batch_rows = 1 + rng.uniform_int(0, 3 * d - 1);
-    pca.update(rng.uniform() < 0.5
-                   ? testing::rows_slice(all, 3 * d, 3 * d + batch_rows)
-                   : testing::low_rank_noise_matrix(rng, batch_rows, d, k + 1, 1.0));
-    const double cosine_form =
-        testing::subspace_angle_sin(anchor, pca.components(), k);
-    if (cosine_form >= 1e-3) {
-      EXPECT_NEAR(pca.subspace_drift(), cosine_form, 1e-9);
-    }
-  });
-}
-
-TEST(PcaUpdateProperty, MultiBatchUpdateMatchesFromScratch) {
-  FLARE_CHECK_PROPERTY(20, 0x9CAu, [](stats::Rng& rng, double scale) {
-    const std::size_t d = std::max<std::size_t>(5, static_cast<std::size_t>(24 * scale));
-    const std::size_t rank = std::max<std::size_t>(2, d / 4);
-    const std::size_t batch = d + 2;
-    const std::size_t n0 = 3 * d;
-    const std::size_t total = n0 + 3 * batch;
-    const Matrix all = testing::low_rank_noise_matrix(rng, total, d, rank);
-
-    Pca incremental;
-    incremental.fit(testing::rows_slice(all, 0, n0));
-    for (std::size_t b = 0; b < 3; ++b) {
-      const PcaUpdateStats stats = incremental.update(
-          testing::rows_slice(all, n0 + b * batch, n0 + (b + 1) * batch));
-      EXPECT_EQ(stats.batch_rows, batch);
-      EXPECT_EQ(stats.total_rows, n0 + (b + 1) * batch);
-    }
-    Pca cold;
-    cold.fit(all);
-
-    EXPECT_EQ(incremental.observations(), total);
-    const auto means = linalg::column_means(all);
-    for (std::size_t c = 0; c < d; ++c) {
-      EXPECT_NEAR(incremental.mean()[c], means[c], 1e-9);
-    }
-    for (std::size_t i = 0; i < d; ++i) {
-      EXPECT_NEAR(incremental.explained_variance_ratio()[i],
-                  cold.explained_variance_ratio()[i], 1e-8);
-    }
-    EXPECT_TRUE(testing::SubspacesNear(incremental.components(),
-                                       cold.components(), rank, 1e-6));
-  });
-}
-
-TEST(PcaUpdateProperty, UpdatedBasisStaysOrthonormalAndSorted) {
-  FLARE_CHECK_PROPERTY(15, 0x9CBu, [](stats::Rng& rng, double scale) {
-    const std::size_t d = std::max<std::size_t>(4, static_cast<std::size_t>(20 * scale));
-    const Matrix all =
-        testing::low_rank_noise_matrix(rng, 6 * d, d, std::max<std::size_t>(2, d / 3));
-    Pca pca;
-    pca.fit(testing::rows_slice(all, 0, 4 * d));
-    pca.update(testing::rows_slice(all, 4 * d, 5 * d));
-    pca.update(testing::rows_slice(all, 5 * d, 6 * d));
-
-    const Matrix vtv = pca.components().transposed().multiply(pca.components());
-    EXPECT_TRUE(testing::MatricesNear(vtv, Matrix::identity(d), 1e-9));
-    const auto& ev = pca.eigenvalues();
-    for (std::size_t i = 1; i < ev.size(); ++i) EXPECT_GE(ev[i - 1], ev[i]);
-    for (const double v : ev) EXPECT_GE(v, 0.0);
-    double sum = 0.0;
-    for (const double r : pca.explained_variance_ratio()) sum += r;
-    EXPECT_NEAR(sum, 1.0, 1e-9);
-    // Sign convention holds after updates exactly as after fits.
-    for (std::size_t j = 0; j < d; ++j) {
-      double best = 0.0;
-      for (std::size_t i = 0; i < d; ++i) {
-        if (std::abs(pca.loading(i, j)) > std::abs(best)) best = pca.loading(i, j);
-      }
-      EXPECT_GT(best, 0.0);
-    }
-  });
-}
 
 }  // namespace
 }  // namespace flare::ml

@@ -39,8 +39,10 @@ std::string csv_of(const dcsim::ScenarioSet& set) {
 
 /// A batch big enough that its profiler pass keeps the ingest worker busy
 /// for a long, schedule-independent window — the wedge the overload and
-/// queue-timeout tests hide behind.
-dcsim::ScenarioSet slow_batch() { return make_set(200, 31); }
+/// queue-timeout tests hide behind. The pass must outlast the 30 ms
+/// deadline below several times over even on a fast host: at 200 rows it
+/// took 25–45 ms on a 4-vCPU VM, and the timeout test raced it.
+dcsim::ScenarioSet slow_batch() { return make_set(800, 31); }
 
 TEST(ServeDaemon, FreshStartServesInlineStatus) {
   TempTree tree("serve_daemon_status");

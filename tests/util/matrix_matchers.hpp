@@ -10,6 +10,8 @@
 //   ColumnsMatchUpToSign   per-column, sign-invariant
 //   SubspacesNear          leading-k column spans, rotation-invariant
 //                          (max principal angle via the Grassmann metric)
+//   subspace_sin_bound     ‖residual‖_F ≥ that angle's sine, accurate down
+//                          to rounding where the cosine form stalls near 1e-8
 #pragma once
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <vector>
 
 #include "linalg/eigen.hpp"
 #include "linalg/matrix.hpp"
@@ -105,6 +108,32 @@ inline double subspace_angle_sin(const linalg::Matrix& a,
   const linalg::SymmetricEigenResult eig = linalg::symmetric_eigen(gram);
   const double cos_sq = std::clamp(eig.eigenvalues.back(), 0.0, 1.0);
   return std::sqrt(1.0 - cos_sq);
+}
+
+/// ‖B − A·(AᵀB)‖_F over the first k columns of two matrices with orthonormal
+/// columns: the part of span(B) outside span(A), an upper bound on
+/// sin(θ_max) between the spans. Unlike subspace_angle_sin's √(1 − cos²), it
+/// keeps full precision near 0.
+inline double subspace_sin_bound(const linalg::Matrix& a, const linalg::Matrix& b,
+                                 std::size_t k) {
+  EXPECT_EQ(a.rows(), b.rows());
+  EXPECT_LE(k, std::min(a.cols(), b.cols()));
+  if (k == 0 || a.rows() != b.rows()) return 1.0;
+  const std::size_t n = a.rows();
+  double sum = 0.0;
+  std::vector<double> coef(k);
+  for (std::size_t j = 0; j < k; ++j) {
+    for (std::size_t i = 0; i < k; ++i) {
+      coef[i] = 0.0;
+      for (std::size_t r = 0; r < n; ++r) coef[i] += a(r, i) * b(r, j);
+    }
+    for (std::size_t r = 0; r < n; ++r) {
+      double outside = b(r, j);
+      for (std::size_t i = 0; i < k; ++i) outside -= a(r, i) * coef[i];
+      sum += outside * outside;
+    }
+  }
+  return std::sqrt(sum);
 }
 
 inline ::testing::AssertionResult SubspacesNear(const linalg::Matrix& a,
