@@ -4,7 +4,7 @@
 #include <iostream>
 
 #include "bench/common.hpp"
-#include "report/barchart.hpp"
+#include "util/strings.hpp"
 
 int main() {
   using namespace flare;
@@ -12,15 +12,16 @@ int main() {
   const core::AnalysisResult& analysis = env.pipeline->analysis();
 
   bench::print_banner("Figure 7", "Cumulative explained variance of the PCs");
-  std::vector<std::pair<double, double>> curve;
+  std::cout << "components -> cumulative variance\n"
+            << "  PCs -> explained variance\n";
   const std::size_t show =
       std::min<std::size_t>(analysis.pca.dimension(), analysis.num_components + 7);
   for (std::size_t k = 1; k <= show; ++k) {
-    curve.emplace_back(static_cast<double>(k),
-                       analysis.pca.cumulative_explained_variance(k));
+    std::cout << "  " << util::format_double(static_cast<double>(k), 0) << ", "
+              << util::format_double(
+                     analysis.pca.cumulative_explained_variance(k), 3)
+              << '\n';
   }
-  report::print_series(std::cout, "components -> cumulative variance", curve,
-                       "PCs", "explained variance");
   std::printf("\nselected: %zu PCs explain %.1f%% of the variance "
               "(target 95%%; paper: 18 PCs)\n",
               analysis.num_components,

@@ -324,12 +324,6 @@ AnalysisResult Analyzer::analyze(const metrics::MetricDatabase& db,
 }
 
 AnalysisResult Analyzer::recluster(const AnalysisResult& base,
-                                   const std::vector<double>& new_weights) const {
-  const std::unique_ptr<util::ThreadPool> pool = make_pool(config_.threads);
-  return recluster(base, new_weights, pool.get());
-}
-
-AnalysisResult Analyzer::recluster(const AnalysisResult& base,
                                    const std::vector<double>& new_weights,
                                    util::ThreadPool* pool) const {
   ensure(new_weights.size() == base.cluster_space.rows(),

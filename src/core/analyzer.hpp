@@ -82,7 +82,7 @@ struct AnalyzerConfig {
   /// Rows in the sampled silhouette estimate.
   std::size_t silhouette_sample = 1024;
 
-  /// Worker threads for analyze()/recluster() when no shared pool is passed:
+  /// Worker threads for analyze() when no shared pool is passed:
   /// 1 = run inline (default), 0 = one per hardware thread. Results are
   /// bit-identical for every value — parallel loops write index-addressed
   /// slots and reductions happen serially in index order.
@@ -224,10 +224,7 @@ class Analyzer {
   /// stage-level replay: the metric space, standardisation and PCA of `base`
   /// are reused verbatim; only the cluster + representative stages re-run
   /// over the re-weighted population (stage counters record exactly that).
-  [[nodiscard]] AnalysisResult recluster(const AnalysisResult& base,
-                                         const std::vector<double>& new_weights) const;
-
-  /// Pool-sharing overload of recluster (nullptr = run inline).
+  /// `pool` shares worker threads (nullptr = run inline).
   [[nodiscard]] AnalysisResult recluster(const AnalysisResult& base,
                                          const std::vector<double>& new_weights,
                                          util::ThreadPool* pool) const;

@@ -79,16 +79,6 @@ struct Snapshot {
 
 }  // namespace
 
-std::string_view to_string(CampaignUnitKind kind) {
-  switch (kind) {
-    case CampaignUnitKind::kRepresentative:
-      return "representative";
-    case CampaignUnitKind::kValidation:
-      return "validation";
-  }
-  return "unknown";
-}
-
 std::string_view to_string(CampaignStopReason reason) {
   switch (reason) {
     case CampaignStopReason::kExhausted:

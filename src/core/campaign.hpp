@@ -80,8 +80,6 @@ enum class CampaignUnitKind : unsigned char {
   kValidation,      ///< the band-tightening runner-up probe
 };
 
-[[nodiscard]] std::string_view to_string(CampaignUnitKind kind);
-
 /// Why the campaign stopped.
 enum class CampaignStopReason : unsigned char {
   kExhausted,        ///< every scheduled unit ran

@@ -5,34 +5,23 @@
 #include <cmath>
 #include <limits>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/pc_labeler.hpp"
 #include "linalg/kernels.hpp"
 #include "util/error.hpp"
-#include "util/hash.hpp"
 #include "util/thread_pool.hpp"
 
 namespace flare::core {
 namespace {
 
-// Root seed for out-of-core fingerprints. The streamed fit matches the
-// in-RAM path only up to floating-point reassociation (Chan-merged moments,
-// eigensolve of the assembled correlation), so its stage outputs must never
-// splice into an in-RAM lineage — a distinct root makes collision impossible
-// by construction.
-constexpr std::uint64_t kOutOfCoreTag = 0x00C5EED0FC0DE5ULL;
-
 /// Streaming per-column statistics over the whole store: extrema, mean and
 /// the full d × d comoment matrix  C(i,j) = Σ (x_i - μ_i)(x_j - μ_j),
-/// merged block by block with Chan's identity (the same algebra
-/// Standardizer::merge applies column-wise, extended to cross terms).
+/// merged block by block with Chan's identity.
 struct StreamedMoments {
   std::size_t count = 0;
   std::vector<double> mean, lo, hi;
   linalg::Matrix comoment;
-  std::uint64_t content_hash = 0;
 };
 
 void fold_block(StreamedMoments& m, const linalg::Matrix& values,
@@ -82,36 +71,6 @@ double correlation_from_comoment(const linalg::Matrix& comoment, std::size_t i,
   return denom > 0.0 ? comoment(i, j) / denom : 0.0;
 }
 
-/// The clustering-knob hash chain, mirroring the in-RAM cluster fingerprint
-/// (core/analyzer.cpp) — equal fingerprints within the out-of-core lineage
-/// imply the cluster stage would emit the same bits.
-std::uint64_t ooc_cluster_fingerprint(std::uint64_t whiten_fp,
-                                      const AnalyzerConfig& cfg,
-                                      const std::vector<double>& weights) {
-  std::uint64_t h =
-      util::hash_mix(whiten_fp, static_cast<std::uint64_t>(cfg.algorithm));
-  h = util::hash_mix(h, cfg.fixed_clusters ? *cfg.fixed_clusters + 1 : 0u);
-  h = util::hash_mix(h, cfg.min_clusters);
-  h = util::hash_mix(h, cfg.max_clusters);
-  h = util::hash_mix(h, cfg.compute_quality_curve ? 1u : 0u);
-  h = util::hash_mix(h, static_cast<std::uint64_t>(cfg.kmeans.max_iterations));
-  h = util::hash_mix(h, static_cast<std::uint64_t>(cfg.kmeans.restarts));
-  h = hash_mix(h, cfg.kmeans.tolerance);
-  h = util::hash_mix(h, cfg.kmeans.seed);
-  h = util::hash_mix(h, static_cast<std::uint64_t>(cfg.kmeans.init));
-  h = util::hash_mix(h, static_cast<std::uint64_t>(cfg.kmeans_mode));
-  h = util::hash_mix(h, cfg.minibatch_threshold);
-  h = util::hash_mix(h, cfg.coreset.size);
-  h = util::hash_mix(h, cfg.coreset.seed);
-  h = util::hash_mix(h,
-                     static_cast<std::uint64_t>(cfg.minibatch_refine_iterations));
-  h = util::hash_mix(h, cfg.silhouette_exact_threshold);
-  h = util::hash_mix(h, cfg.silhouette_sample);
-  h = util::hash_mix(h, cfg.weight_clustering_by_observation ? 1u : 0u);
-  if (cfg.weight_clustering_by_observation) h = fingerprint_doubles(weights, h);
-  return h;
-}
-
 }  // namespace
 
 AnalysisResult analyze_out_of_core(const metrics::ColumnStore& store,
@@ -131,33 +90,21 @@ AnalysisResult analyze_out_of_core(const metrics::ColumnStore& store,
   tel.dense_bytes = n * d * sizeof(double);
 
   // ---- Pass 1: moments ----
-  // The shard lineage tag namespaces every out-of-core fingerprint
-  // (tag 0 = unsharded, fingerprints unchanged).
-  const std::uint64_t root = config.lineage_tag != 0
-                                 ? util::hash_mix(kOutOfCoreTag, config.lineage_tag)
-                                 : kOutOfCoreTag;
   StreamedMoments moments;
   moments.mean.assign(d, 0.0);
   moments.lo.assign(d, std::numeric_limits<double>::infinity());
   moments.hi.assign(d, -std::numeric_limits<double>::infinity());
   moments.comoment = linalg::Matrix(d, d);
-  moments.content_hash = util::kFnvOffsetBasis;
   std::vector<double> weights;
   weights.reserve(n);
   store.for_each_block([&](std::size_t /*first_row*/,
                            const linalg::Matrix& values,
                            std::span<const double> w) {
-    moments.content_hash = fingerprint_matrix(values, moments.content_hash);
-    moments.content_hash = util::fnv1a(
-        std::string_view(reinterpret_cast<const char*>(w.data()),
-                         w.size() * sizeof(double)),
-        util::hash_mix(moments.content_hash, w.size()));
     fold_block(moments, values, pool);
     weights.insert(weights.end(), w.begin(), w.end());
     ++tel.blocks_streamed;
   });
   ++tel.passes;
-  tel.content_hash = moments.content_hash;
 
   AnalysisResult result;
   result.stage_counters = StageCounters{};
@@ -295,27 +242,11 @@ AnalysisResult analyze_out_of_core(const metrics::ColumnStore& store,
   result.cluster_weights = std::move(rep.cluster_weights);
   ++result.stage_counters.representatives;
 
-  // ---- Fingerprints: the in-RAM chain shape, rooted at the distinct
-  // out-of-core tag (see the header — these must never splice across). ----
-  StageFingerprints fp;
-  {
-    std::uint64_t h = util::hash_mix(root, moments.content_hash);
-    for (const metrics::MetricInfo& m : store.catalog().metrics()) {
-      h = util::fnv1a(m.name, h);
-    }
-    fp.raw = h;
-    h = util::hash_mix(fp.raw, config.use_correlation_filter ? 1u : 0u);
-    fp.refine = hash_mix(h, config.correlation_threshold);
-    fp.standardize = util::hash_mix(fp.refine, 0x5354Du);
-    h = hash_mix(fp.standardize, config.variance_target);
-    h = util::hash_mix(h, config.labeler.max_contributors);
-    fp.pca = hash_mix(h, config.labeler.min_abs_loading);
-    fp.whiten = util::hash_mix(fp.pca, config.whiten ? 1u : 0u);
-    fp.cluster = ooc_cluster_fingerprint(fp.whiten, config, weights);
-    fp.representatives =
-        fingerprint_doubles(weights, util::hash_mix(fp.cluster, 0x52455052u));
-  }
-  result.fingerprints = fp;
+  // The fingerprints stay zero: the streamed fit matches the in-RAM path
+  // only up to floating-point reassociation (Chan-merged moments, eigensolve
+  // of the assembled correlation), and the Analyzer never reuses a stage
+  // whose fingerprint is zero, so this result cannot splice into an in-RAM
+  // lineage.
   return result;
 }
 

@@ -5,9 +5,8 @@
 // in-RAM Analyzer starts from. Two streaming passes replace it:
 //
 //   Pass 1 — moments. Every block contributes per-column min/max, the running
-//   mean and the d × d comoment matrix (Chan's parallel merge — the same
-//   identity Standardizer::merge uses), plus a chained content hash of every
-//   value and weight read. From those moments alone:
+//   mean and the d × d comoment matrix (Chan's parallel merge). From those
+//   moments alone:
 //     · constant columns fall out of the min/max rule (bit-identical
 //       decisions to stages::refine — the rule is order-independent);
 //     · correlation duplicates fall out of r_ij = C_ij / √(C_ii·C_jj) via
@@ -24,17 +23,16 @@
 //   that compact matrix exactly as the in-RAM stages do.
 //
 // The result is a fully populated AnalysisResult — representatives, cluster
-// weights, quality curve, fitted transforms — whose fingerprints are chained
-// from a *distinct* out-of-core seed: numerically the fit matches the in-RAM
-// path to rounding, but it is not bit-identical (moment reassociation), so
-// its stages must never splice into an in-RAM lineage or vice versa.
+// weights, quality curve, fitted transforms — whose fingerprints are all
+// zero: numerically the fit matches the in-RAM path to rounding, but it is
+// not bit-identical (moment reassociation), so its stages must never splice
+// into an in-RAM lineage, and the Analyzer never reuses a zero-fingerprint
+// stage.
 //
 // Not supported here: quarantine/health masking (the degraded-fit path stays
 // in-RAM — below-quorum populations are small by construction) and warm
 // starts from a previous result.
 #pragma once
-
-#include <cstdint>
 
 #include "core/analyzer.hpp"
 #include "metrics/column_store.hpp"
@@ -52,7 +50,6 @@ struct OutOfCoreOptions {
 struct OutOfCoreTelemetry {
   std::size_t passes = 0;           ///< streaming passes actually executed
   std::size_t blocks_streamed = 0;  ///< blocks decoded across those passes
-  std::uint64_t content_hash = 0;   ///< chained hash of every value + weight
   std::size_t dense_bytes = 0;      ///< what the n × d matrix would have cost
   std::size_t resident_bytes = 0;   ///< peak score/cluster-space residency
 };

@@ -33,15 +33,6 @@ FlarePipeline::FlarePipeline(FlareConfig config, const dcsim::JobCatalog& catalo
                 : nullptr),
       response_(config_.drift_response, config_.drift) {}
 
-std::string_view to_string(PcaUpdatePolicy policy) {
-  switch (policy) {
-    case PcaUpdatePolicy::kRefit: return "refit";
-    case PcaUpdatePolicy::kIncremental: return "incremental";
-    case PcaUpdatePolicy::kAuto: return "auto";
-  }
-  return "?";
-}
-
 const metrics::MetricCatalog& resolve_schema(MetricSchema schema) {
   switch (schema) {
     case MetricSchema::kStandard:

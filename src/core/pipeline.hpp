@@ -48,8 +48,6 @@ enum class PcaUpdatePolicy : unsigned char {
   kAuto,
 };
 
-[[nodiscard]] std::string_view to_string(PcaUpdatePolicy policy);
-
 struct FlareConfig {
   dcsim::MachineConfig machine;  ///< the datacenter's (and testbed's) shape
   dcsim::ModelOptions model;

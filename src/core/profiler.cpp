@@ -253,14 +253,6 @@ Profiler::Profiler(const dcsim::InterferenceModel& model, ProfilerConfig config)
          "Profiler: max_abs_reading must be positive");
 }
 
-metrics::MetricRow Profiler::profile_scenario(
-    const dcsim::ColocationScenario& scenario, const dcsim::MachineConfig& machine,
-    const metrics::MetricCatalog& schema) const {
-  RowHealth health;
-  return profile_one(*model_, config_, fault_model_, scenario, machine, schema,
-                     plan_for(schema), health);
-}
-
 metrics::MetricDatabase Profiler::profile(const dcsim::ScenarioSet& set,
                                           const dcsim::MachineConfig& machine,
                                           const metrics::MetricCatalog& schema,

@@ -130,16 +130,11 @@ class Profiler {
 
   /// Like profile(), but also returns the per-row health records. Cells with
   /// no surviving reading hold NaN and are flagged in `imputed_metrics`;
-  /// callers must impute (ml::impute_non_finite) or quarantine before fitting.
+  /// callers must impute (ml/impute.hpp) or quarantine before fitting.
   [[nodiscard]] ProfileReport profile_with_health(
       const dcsim::ScenarioSet& set, const dcsim::MachineConfig& machine,
       const metrics::MetricCatalog& schema = metrics::MetricCatalog::standard(),
       util::ThreadPool* shared_pool = nullptr) const;
-
-  /// Profiles a single scenario (one averaged row).
-  [[nodiscard]] metrics::MetricRow profile_scenario(
-      const dcsim::ColocationScenario& scenario, const dcsim::MachineConfig& machine,
-      const metrics::MetricCatalog& schema) const;
 
  private:
   const dcsim::InterferenceModel* model_;  ///< non-owning

@@ -11,18 +11,6 @@
 
 namespace flare::core {
 
-std::string_view to_string(ReplayOutcome outcome) {
-  switch (outcome) {
-    case ReplayOutcome::kClean:
-      return "clean";
-    case ReplayOutcome::kRecovered:
-      return "recovered";
-    case ReplayOutcome::kUnreplayable:
-      return "unreplayable";
-  }
-  return "unknown";
-}
-
 Replayer::Replayer(const ImpactModel& impact, ReplayPolicy policy,
                    dcsim::ReplayFaultModel faults)
     : impact_(&impact), policy_(policy), faults_(std::move(faults)) {
@@ -187,30 +175,6 @@ ReplayMeasurement Replayer::replay_job_measured(
     return impact_->job_impact_pct(type, scenario.mix, feature,
                                    MeasurementContext::kTestbed);
   });
-}
-
-double Replayer::replay_scenario_impact(const dcsim::ColocationScenario& scenario,
-                                        const Feature& feature) {
-  const ReplayMeasurement m = replay_scenario_measured(scenario, feature);
-  if (!m.ok()) {
-    throw ReplayError("replay_scenario_impact: scenario " +
-                      std::to_string(scenario.id) + " unreplayable for feature '" +
-                      feature.name() + "' after " + std::to_string(m.attempts) +
-                      " attempts");
-  }
-  return m.impact_pct;
-}
-
-double Replayer::replay_job_impact(dcsim::JobType type,
-                                   const dcsim::ColocationScenario& scenario,
-                                   const Feature& feature) {
-  const ReplayMeasurement m = replay_job_measured(type, scenario, feature);
-  if (!m.ok()) {
-    throw ReplayError("replay_job_impact: scenario " + std::to_string(scenario.id) +
-                      " unreplayable for feature '" + feature.name() + "' after " +
-                      std::to_string(m.attempts) + " attempts");
-  }
-  return m.impact_pct;
 }
 
 }  // namespace flare::core

@@ -75,8 +75,6 @@ enum class ReplayOutcome : unsigned char {
   kUnreplayable, ///< retries exhausted without a single valid reading
 };
 
-[[nodiscard]] std::string_view to_string(ReplayOutcome outcome);
-
 /// The result of one fault-tolerant replay: the aggregated impact reading
 /// (median of valid measurements — robust to surviving noise spikes) plus
 /// everything needed for uncertainty-aware aggregation downstream.
@@ -129,14 +127,6 @@ class Replayer {
   [[nodiscard]] ReplayMeasurement replay_job_measured(
       dcsim::JobType type, const dcsim::ColocationScenario& scenario,
       const Feature& feature);
-
-  /// Convenience wrappers returning the aggregated reading directly; throw
-  /// ReplayError when the scenario is unreplayable after retries.
-  [[nodiscard]] double replay_scenario_impact(const dcsim::ColocationScenario& scenario,
-                                              const Feature& feature);
-  [[nodiscard]] double replay_job_impact(dcsim::JobType type,
-                                         const dcsim::ColocationScenario& scenario,
-                                         const Feature& feature);
 
   /// Distinct scenarios reconstructed so far (the evaluation cost). Keyed on
   /// (scenario id, feature *content* fingerprint): two distinct features that

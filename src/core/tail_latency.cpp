@@ -14,10 +14,6 @@ TailLatencyModel::TailLatencyModel(const ImpactModel& impact,
   ensure(config_.p99_factor > 0.0, "TailLatencyModel: p99_factor must be positive");
 }
 
-bool TailLatencyModel::is_latency_sensitive(dcsim::JobType job) const {
-  return impact_->model().catalog().profile(job).base_service_ms > 0.0;
-}
-
 TailLatencyResult TailLatencyModel::evaluate(dcsim::JobType job,
                                              const dcsim::JobMix& mix,
                                              const dcsim::MachineConfig& machine,

@@ -57,9 +57,6 @@ class TailLatencyModel {
                                           const Feature& feature,
                                           MeasurementContext context) const;
 
-  /// True when the job has latency semantics (a nonzero base service time).
-  [[nodiscard]] bool is_latency_sensitive(dcsim::JobType job) const;
-
  private:
   const ImpactModel* impact_;  ///< non-owning
   TailLatencyConfig config_;

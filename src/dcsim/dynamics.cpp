@@ -411,26 +411,4 @@ void apply_dynamics_overlay(std::vector<double>& sample,
   }
 }
 
-JobProfile upgraded_profile(const JobProfile& base, int version, double shift) {
-  if (version <= 1 || shift <= 0.0) return base;
-  JobProfile up = base;
-  up.version = version;
-  const std::uint64_t v = static_cast<std::uint64_t>(version);
-  const auto bump = [&](double& field, std::string_view param) {
-    // Key the deviate by job + parameter so each job's upgrade moves its own
-    // way, mirroring the per-metric coherence of the row overlay.
-    const std::string key =
-        std::string(job_code(base.type)) + "/" + std::string(param);
-    field *= std::exp(shift * unit_deviate(key, kUpgradeOverlaySeed, v));
-  };
-  bump(up.base_cpi, "base_cpi");
-  bump(up.frontend_bound, "frontend_bound");
-  bump(up.llc_apki, "llc_apki");
-  bump(up.mrc_half_mb, "mrc_half_mb");
-  bump(up.mlp, "mlp");
-  bump(up.branch_mpki, "branch_mpki");
-  bump(up.l1i_mpki, "l1i_mpki");
-  return up;
-}
-
 }  // namespace flare::dcsim

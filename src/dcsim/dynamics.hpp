@@ -174,13 +174,4 @@ void apply_dynamics_overlay(std::vector<double>& sample,
                             const metrics::MetricCatalog& catalog,
                             const ColocationScenario& scenario);
 
-/// The counter profile a migrated machine runs at `version` under a rolling
-/// upgrade of log-scale magnitude `shift`: each microarchitectural parameter
-/// moves by exp(shift·u(job, parameter, version)) with the same u-derivation
-/// the row overlay uses, so the parameter-space shift and the synthesized
-/// counter shift agree in direction. version ≤ 1 or shift ≤ 0 returns `base`
-/// unchanged (stationarity preserved).
-[[nodiscard]] JobProfile upgraded_profile(const JobProfile& base, int version,
-                                          double shift);
-
 }  // namespace flare::dcsim

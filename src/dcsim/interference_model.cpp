@@ -70,13 +70,6 @@ const JobTypePerformance& ScenarioPerformance::job(JobType type) const {
   return jobs.front();
 }
 
-bool ScenarioPerformance::has_job(JobType type) const {
-  for (const JobTypePerformance& j : jobs) {
-    if (j.type == type) return true;
-  }
-  return false;
-}
-
 InterferenceModel::InterferenceModel(const JobCatalog& catalog, ModelOptions options)
     : catalog_(catalog), options_(options) {
   ensure(options_.bandwidth_iterations >= 1,

@@ -90,7 +90,6 @@ struct ScenarioPerformance {
 
   /// Lookup by type; throws std::invalid_argument when absent from the mix.
   [[nodiscard]] const JobTypePerformance& job(JobType type) const;
-  [[nodiscard]] bool has_job(JobType type) const;
 };
 
 class InterferenceModel {

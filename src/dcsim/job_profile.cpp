@@ -12,8 +12,4 @@ double JobProfile::miss_ratio(double cache_mb) const {
   return std::clamp(ratio, 0.0, 1.0);
 }
 
-double JobProfile::mpki(double cache_mb) const {
-  return llc_apki * miss_ratio(cache_mb);
-}
-
 }  // namespace flare::dcsim

@@ -18,12 +18,6 @@ struct JobProfile {
   JobType type = JobType::kDataAnalytics;
   bool high_priority = true;
 
-  /// Software generation of this profile. 1 = the calibrated baseline below;
-  /// rolling-upgrade dynamics migrate machines to higher versions whose
-  /// counter behaviours shift deterministically (dcsim/dynamics.hpp
-  /// upgraded_profile / apply_dynamics_overlay).
-  int version = 1;
-
   /// Table 3 deployment blurb (threads, heap sizes, target QPS, ...).
   std::string configuration;
 
@@ -85,9 +79,6 @@ struct JobProfile {
 
   /// Miss ratio of the LLC miss-ratio curve at `cache_mb` of allocated LLC.
   [[nodiscard]] double miss_ratio(double cache_mb) const;
-
-  /// LLC misses per kilo-instruction at `cache_mb` of allocated LLC.
-  [[nodiscard]] double mpki(double cache_mb) const;
 };
 
 }  // namespace flare::dcsim

@@ -28,9 +28,6 @@ class Matrix {
   /// Builds from row-major data; data.size() must equal rows * cols.
   Matrix(std::size_t rows, std::size_t cols, std::vector<double> data);
 
-  /// Builds from a list of equally sized rows.
-  static Matrix from_rows(const std::vector<std::vector<double>>& rows);
-
   /// n × n identity.
   static Matrix identity(std::size_t n);
 
@@ -45,10 +42,6 @@ class Matrix {
     return data_[r * cols_ + c];
   }
 
-  /// Bounds-checked access (throws std::out_of_range).
-  [[nodiscard]] double& at(std::size_t r, std::size_t c);
-  [[nodiscard]] double at(std::size_t r, std::size_t c) const;
-
   /// View of row `r` (contiguous in row-major layout).
   [[nodiscard]] std::span<const double> row(std::size_t r) const;
   [[nodiscard]] std::span<double> row(std::size_t r);
@@ -57,7 +50,6 @@ class Matrix {
   [[nodiscard]] std::vector<double> column(std::size_t c) const;
 
   void set_row(std::size_t r, std::span<const double> values);
-  void set_column(std::size_t c, std::span<const double> values);
 
   [[nodiscard]] Matrix transposed() const;
 
@@ -69,25 +61,10 @@ class Matrix {
   [[nodiscard]] Matrix multiply(const Matrix& other,
                                 util::ThreadPool* pool = nullptr) const;
 
-  /// Matrix–vector product; x.size() must equal cols().
-  [[nodiscard]] std::vector<double> multiply(std::span<const double> x) const;
-
-  Matrix& operator+=(const Matrix& other);
-  Matrix& operator-=(const Matrix& other);
-  Matrix& operator*=(double scalar);
-
-  [[nodiscard]] friend Matrix operator+(Matrix a, const Matrix& b) { return a += b; }
-  [[nodiscard]] friend Matrix operator-(Matrix a, const Matrix& b) { return a -= b; }
-  [[nodiscard]] friend Matrix operator*(Matrix a, double s) { return a *= s; }
-  [[nodiscard]] friend Matrix operator*(double s, Matrix a) { return a *= s; }
-
   [[nodiscard]] bool operator==(const Matrix& other) const = default;
 
   /// Frobenius norm.
   [[nodiscard]] double frobenius_norm() const;
-
-  /// Max |a_ij - b_ij|; matrices must have equal shape.
-  [[nodiscard]] double max_abs_diff(const Matrix& other) const;
 
   /// Keeps only the listed columns, in the given order.
   [[nodiscard]] Matrix select_columns(std::span<const std::size_t> keep) const;
@@ -103,12 +80,6 @@ class Matrix {
   std::size_t cols_ = 0;
   std::vector<double> data_;
 };
-
-/// Dot product; sizes must match.
-[[nodiscard]] double dot(std::span<const double> a, std::span<const double> b);
-
-/// Euclidean norm.
-[[nodiscard]] double norm2(std::span<const double> a);
 
 /// Squared Euclidean distance between equally sized vectors.
 [[nodiscard]] double squared_distance(std::span<const double> a,

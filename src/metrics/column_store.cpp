@@ -20,8 +20,6 @@ namespace {
 
 constexpr char kMagic[8] = {'F', 'L', 'A', 'R', 'E', 'C', 'S', '1'};
 constexpr std::size_t kHeaderBytes = 8 + 3 * sizeof(std::uint64_t);
-// Raw bytes of the first/last block folded into the structural signature.
-constexpr std::size_t kSignatureBlockBytes = 4096;
 
 /// RAII stdio handle (the writer paths; the reader maps or slurps).
 struct File {
@@ -58,8 +56,8 @@ T read_pod(const std::byte* base, std::size_t size, std::size_t offset,
   return v;
 }
 
-}  // namespace
-
+/// Stable hash of a catalog's metric names (order-sensitive) — stored in the
+/// header so a store is never silently read against the wrong schema.
 std::uint64_t catalog_hash(const MetricCatalog& catalog) {
   std::uint64_t h = util::kFnvOffsetBasis;
   for (const MetricInfo& info : catalog.metrics()) {
@@ -68,6 +66,8 @@ std::uint64_t catalog_hash(const MetricCatalog& catalog) {
   }
   return h;
 }
+
+}  // namespace
 
 void create_column_store(const std::string& path, const MetricCatalog& catalog,
                          std::size_t block_rows) {
@@ -227,8 +227,7 @@ ColumnStore::ColumnStore(const std::string& path, const MetricCatalog& catalog,
   }
   ensure(block_rows_ > 0, "ColumnStore: corrupt header (block_rows = 0)");
 
-  // Scan the block directory and fold the structural signature.
-  std::uint64_t sig = util::hash_mix(stored_hash, map_size_);
+  // Scan the block directory.
   std::size_t offset = kHeaderBytes;
   while (offset < map_size_) {
     BlockInfo info;
@@ -247,23 +246,9 @@ ColumnStore::ColumnStore(const std::string& path, const MetricCatalog& catalog,
       throw ParseError("ColumnStore: corrupt block directory in " + path_);
     }
     num_rows_ += info.rows;
-    sig = util::hash_mix(sig, info.payload);
-    sig = util::hash_mix(sig, info.rows);
     blocks_.push_back(info);
     offset = body + info.payload;
   }
-  for (const BlockInfo* edge :
-       {blocks_.empty() ? nullptr : &blocks_.front(),
-        blocks_.size() < 2 ? nullptr : &blocks_.back()}) {
-    if (edge == nullptr) continue;
-    const std::size_t take =
-        std::min<std::size_t>(kSignatureBlockBytes, edge->payload);
-    sig = util::fnv1a(
-        std::string_view(
-            reinterpret_cast<const char*>(base + edge->offset + 8), take),
-        sig);
-  }
-  signature_ = sig;
 
 #if FLARE_HAVE_MMAP
   if (mapped_) {
@@ -390,50 +375,6 @@ MetricRow ColumnStore::row(std::size_t index) const {
   const std::span<const double> values = block.values.row(local);
   row.values.assign(values.begin(), values.end());
   return row;
-}
-
-std::vector<double> ColumnStore::weights() const {
-  std::vector<double> out;
-  out.reserve(num_rows_);
-  const std::byte* base = bytes();
-  for (const BlockInfo& info : blocks_) {
-    const std::size_t offset = info.offset + sizeof(std::uint64_t) + 16 +
-                               info.rows * sizeof(std::uint64_t);
-    const std::size_t prev = out.size();
-    out.resize(prev + info.rows);
-    std::memcpy(out.data() + prev, base + offset, info.rows * sizeof(double));
-  }
-  return out;
-}
-
-linalg::Matrix ColumnStore::to_matrix() const {
-  linalg::Matrix out(num_rows_, num_metrics_);
-  for_each_block([&](std::size_t first_row, const linalg::Matrix& values,
-                     std::span<const double>) {
-    for (std::size_t r = 0; r < values.rows(); ++r) {
-      out.set_row(first_row + r, values.row(r));
-    }
-  });
-  return out;
-}
-
-MetricDatabase ColumnStore::to_database() const {
-  MetricDatabase db(*catalog_);
-  db.reserve(num_rows_);
-  for (std::size_t b = 0; b < blocks_.size(); ++b) {
-    DecodedBlock block;
-    decode_block(b, block);
-    for (std::size_t r = 0; r < blocks_[b].rows; ++r) {
-      MetricRow row;
-      row.scenario_id = block.ids[r];
-      row.scenario_key = std::move(block.keys[r]);
-      row.observation_weight = block.weights[r];
-      const std::span<const double> values = block.values.row(r);
-      row.values.assign(values.begin(), values.end());
-      db.add_row(std::move(row));
-    }
-  }
-  return db;
 }
 
 }  // namespace flare::metrics

@@ -43,10 +43,6 @@
 
 namespace flare::metrics {
 
-/// Stable hash of a catalog's metric names (order-sensitive) — stored in the
-/// header so a store is never silently read against the wrong schema.
-[[nodiscard]] std::uint64_t catalog_hash(const MetricCatalog& catalog);
-
 struct ColumnStoreOptions {
   /// Decoded-block LRU capacity for random row access.
   std::size_t cache_blocks = 4;
@@ -94,13 +90,6 @@ class ColumnStore {
   [[nodiscard]] const std::string& path() const { return path_; }
   [[nodiscard]] bool mapped() const { return mapped_; }
 
-  /// Structural signature of the file: header, size, and the block
-  /// directory, plus the raw bytes of the first and last block. Changes on
-  /// every append; cheap (does not fault in the middle of the file). Used as
-  /// the first-level spill-cache key — the streaming pass additionally
-  /// fingerprints the full content it reads (see core/out_of_core.hpp).
-  [[nodiscard]] std::uint64_t structural_signature() const { return signature_; }
-
   /// Streams every block in row order as a row-major rows × num_metrics
   /// matrix plus the per-row observation weights. The matrix and span are
   /// only valid inside the callback (one scratch buffer is reused). With
@@ -113,17 +102,6 @@ class ColumnStore {
   /// Random row access through the decoded-block LRU (representative
   /// scenario lookups). Not thread-safe — the cache mutates.
   [[nodiscard]] MetricRow row(std::size_t index) const;
-
-  /// Observation weights in row order (streamed; O(n) but only 8n bytes).
-  [[nodiscard]] std::vector<double> weights() const;
-
-  /// Materialises the dense matrix — convenience for tests and small stores;
-  /// defeats the point at scale.
-  [[nodiscard]] linalg::Matrix to_matrix() const;
-
-  /// Rehydrates the whole store into an in-RAM MetricDatabase (small stores,
-  /// tests, and CLI paths that need MetricDatabase semantics).
-  [[nodiscard]] MetricDatabase to_database() const;
 
   /// LRU bookkeeping (tests assert the cache is actually bounded).
   [[nodiscard]] std::size_t cache_hits() const { return cache_hits_; }
@@ -157,7 +135,6 @@ class ColumnStore {
   std::size_t block_rows_ = 0;
   std::size_t num_metrics_ = 0;
   std::size_t num_rows_ = 0;
-  std::uint64_t signature_ = 0;
   std::vector<BlockInfo> blocks_;
 
   // Backing bytes: either an mmap'ed region or an owned in-RAM copy.

@@ -212,12 +212,4 @@ std::optional<std::size_t> MetricCatalog::index_of(std::string_view name) const 
   return it->second;
 }
 
-std::size_t MetricCatalog::count_at_level(MetricLevel level) const {
-  std::size_t count = 0;
-  for (const MetricInfo& m : metrics_) {
-    if (m.level == level) ++count;
-  }
-  return count;
-}
-
 }  // namespace flare::metrics

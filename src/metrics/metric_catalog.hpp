@@ -82,9 +82,6 @@ class MetricCatalog {
   /// Column index by fully qualified name.
   [[nodiscard]] std::optional<std::size_t> index_of(std::string_view name) const;
 
-  /// Count of metrics at a given level.
-  [[nodiscard]] std::size_t count_at_level(MetricLevel level) const;
-
  private:
   std::vector<MetricInfo> metrics_;
   std::unordered_map<std::string, std::size_t> index_;

@@ -102,17 +102,6 @@ PairwiseDistances pairwise_distances(const linalg::Matrix& data,
   return PairwiseDistances(std::move(d));
 }
 
-double sum_squared_errors(const linalg::Matrix& data, const linalg::Matrix& centroids,
-                          const std::vector<std::size_t>& assignment) {
-  ensure(assignment.size() == data.rows(), "sum_squared_errors: assignment size");
-  double sse = 0.0;
-  for (std::size_t i = 0; i < data.rows(); ++i) {
-    ensure(assignment[i] < centroids.rows(), "sum_squared_errors: bad cluster id");
-    sse += linalg::squared_distance(data.row(i), centroids.row(assignment[i]));
-  }
-  return sse;
-}
-
 std::vector<double> silhouette_samples(const linalg::Matrix& data,
                                        const std::vector<std::size_t>& assignment,
                                        std::size_t num_clusters,

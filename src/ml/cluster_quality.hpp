@@ -41,11 +41,6 @@ class PairwiseDistances {
 [[nodiscard]] PairwiseDistances pairwise_distances(const linalg::Matrix& data,
                                                    util::ThreadPool* pool = nullptr);
 
-/// Sum over points of squared distance to the centroid of their cluster.
-[[nodiscard]] double sum_squared_errors(const linalg::Matrix& data,
-                                        const linalg::Matrix& centroids,
-                                        const std::vector<std::size_t>& assignment);
-
 /// Mean silhouette over all points, in [-1, 1]. Points in singleton clusters
 /// contribute 0 (the standard convention). O(n²) pairwise distances — use
 /// the PairwiseDistances overload when scoring several clusterings of the

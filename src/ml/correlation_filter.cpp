@@ -59,12 +59,4 @@ CorrelationFilterResult CorrelationFilter::fit_from_correlation(
   return result;
 }
 
-linalg::Matrix CorrelationFilter::apply(const linalg::Matrix& data,
-                                        CorrelationFilterResult* report) const {
-  CorrelationFilterResult result = fit(data);
-  linalg::Matrix filtered = data.select_columns(result.kept_columns);
-  if (report != nullptr) *report = std::move(result);
-  return filtered;
-}
-
 }  // namespace flare::ml

@@ -32,10 +32,6 @@ class CorrelationFilter {
   /// matches how an engineer would curate the metric list.
   [[nodiscard]] CorrelationFilterResult fit(const linalg::Matrix& data) const;
 
-  /// Convenience: fit + select surviving columns.
-  [[nodiscard]] linalg::Matrix apply(const linalg::Matrix& data,
-                                     CorrelationFilterResult* report = nullptr) const;
-
   /// Same greedy scan over a precomputed correlation matrix (d × d,
   /// symmetric, unit diagonal) — the out-of-core path derives it from one
   /// streaming comoment pass instead of materialising columns. Matches

@@ -1,7 +1,6 @@
 #include "ml/impute.hpp"
 
 #include <cmath>
-#include <string>
 #include <unordered_set>
 
 #include "stats/descriptive.hpp"
@@ -35,28 +34,6 @@ std::vector<double> finite_column_medians(
     medians[c] = cells.empty() ? 0.0 : stats::median(cells);
   }
   return medians;
-}
-
-std::size_t impute_non_finite(linalg::Matrix& data,
-                              const std::vector<double>& fill) {
-  ensure(fill.size() == data.cols(),
-         "impute_non_finite: fill must be column-count wide");
-  for (std::size_t c = 0; c < fill.size(); ++c) {
-    if (!std::isfinite(fill[c])) {
-      throw FaultError("impute_non_finite: non-finite fill value in column " +
-                       std::to_string(c));
-    }
-  }
-  std::size_t imputed = 0;
-  for (std::size_t r = 0; r < data.rows(); ++r) {
-    for (std::size_t c = 0; c < data.cols(); ++c) {
-      if (!std::isfinite(data(r, c))) {
-        data(r, c) = fill[c];
-        ++imputed;
-      }
-    }
-  }
-  return imputed;
 }
 
 }  // namespace flare::ml

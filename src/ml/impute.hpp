@@ -23,10 +23,4 @@ namespace flare::ml {
     const linalg::Matrix& data,
     const std::vector<std::size_t>& exclude_rows = {});
 
-/// Replaces every non-finite cell of `data` with `fill[column]` in place and
-/// returns the number of cells rewritten. `fill` must be column-count wide
-/// and finite (use finite_column_medians).
-std::size_t impute_non_finite(linalg::Matrix& data,
-                              const std::vector<double>& fill);
-
 }  // namespace flare::ml

@@ -84,10 +84,6 @@ void Pca::recompute_ratios() {
   }
 }
 
-linalg::Matrix Pca::transform(const linalg::Matrix& data) const {
-  return transform(data, dimension());
-}
-
 linalg::Matrix Pca::transform(const linalg::Matrix& data, std::size_t k) const {
   ensure(fitted(), "Pca::transform: not fitted");
   ensure(data.cols() == dimension(), "Pca::transform: column mismatch");

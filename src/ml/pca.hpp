@@ -42,11 +42,8 @@ class Pca {
   void fit_from_covariance(std::vector<double> mean,
                            const linalg::Matrix& covariance, std::size_t count);
 
-  /// Projects data onto the principal axes: scores = (x - mean) · V.
-  /// Returns all components; callers slice with `num_components_for`.
-  [[nodiscard]] linalg::Matrix transform(const linalg::Matrix& data) const;
-
-  /// Projects onto the first `k` components only.
+  /// Projects data onto the first `k` principal axes:
+  /// scores = (x - mean) · V[:, :k].
   [[nodiscard]] linalg::Matrix transform(const linalg::Matrix& data,
                                          std::size_t k) const;
 

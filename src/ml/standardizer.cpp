@@ -24,7 +24,6 @@ void Standardizer::fit(const linalg::Matrix& data) {
   }
   means_ = linalg::column_means(data);
   scales_.assign(data.cols(), 1.0);
-  m2_.assign(data.cols(), 0.0);
   count_ = data.rows();
   if (data.rows() < 2) return;  // single row: keep unit scales
   for (std::size_t c = 0; c < data.cols(); ++c) {
@@ -33,7 +32,6 @@ void Standardizer::fit(const linalg::Matrix& data) {
       const double d = data(r, c) - means_[c];
       sum_sq += d * d;
     }
-    m2_[c] = sum_sq;
     const double sd = std::sqrt(sum_sq / static_cast<double>(data.rows() - 1));
     scales_[c] = sd > 0.0 ? sd : 1.0;
   }
@@ -54,42 +52,15 @@ Standardizer Standardizer::from_moments(std::vector<double> means,
   }
   Standardizer s;
   s.means_ = std::move(means);
-  s.m2_ = std::move(m2);
   s.count_ = count;
   s.scales_.assign(s.means_.size(), 1.0);
   if (count >= 2) {
     for (std::size_t c = 0; c < s.means_.size(); ++c) {
-      const double sd = std::sqrt(s.m2_[c] / static_cast<double>(count - 1));
+      const double sd = std::sqrt(m2[c] / static_cast<double>(count - 1));
       s.scales_[c] = sd > 0.0 ? sd : 1.0;
     }
   }
   return s;
-}
-
-void Standardizer::merge(const Standardizer& other) {
-  ensure(fitted() && other.fitted(), "Standardizer::merge: both sides must be fitted");
-  ensure(means_.size() == other.means_.size(),
-         "Standardizer::merge: column mismatch");
-  for (std::size_t c = 0; c < other.means_.size(); ++c) {
-    if (!std::isfinite(other.means_[c]) || !std::isfinite(other.m2_[c])) {
-      throw FaultError(
-          "Standardizer::merge: non-finite moments in column " +
-          std::to_string(c) + " — the batch was fitted on unclean data");
-    }
-  }
-  const double n1 = static_cast<double>(count_);
-  const double n2 = static_cast<double>(other.count_);
-  const double n = n1 + n2;
-  for (std::size_t c = 0; c < means_.size(); ++c) {
-    const double delta = other.means_[c] - means_[c];
-    m2_[c] += other.m2_[c] + delta * delta * n1 * n2 / n;
-    means_[c] = (n1 * means_[c] + n2 * other.means_[c]) / n;
-    if (count_ + other.count_ >= 2) {
-      const double sd = std::sqrt(m2_[c] / (n - 1.0));
-      scales_[c] = sd > 0.0 ? sd : 1.0;
-    }
-  }
-  count_ += other.count_;
 }
 
 linalg::Matrix Standardizer::transform(const linalg::Matrix& data) const {

@@ -22,13 +22,6 @@ class Standardizer {
   /// Maps standardised data back to the original scale.
   [[nodiscard]] linalg::Matrix inverse_transform(const linalg::Matrix& data) const;
 
-  /// Folds another fitted Standardizer (over a disjoint batch of rows) into
-  /// this one via Chan's parallel-moments update of the Welford statistics:
-  /// the merged mean/variance equal those of a fit over the concatenated
-  /// rows up to FP rounding. Column counts must match. Enables streamed
-  /// batches to maintain standardisation moments without re-reading old rows.
-  void merge(const Standardizer& other);
-
   /// Rebuilds a fitted Standardizer from externally accumulated Welford
   /// moments (per-column mean, M2 = Σ(x-mean)², row count) — the out-of-core
   /// path streams blocks through one moments pass and never holds the data
@@ -42,14 +35,13 @@ class Standardizer {
   [[nodiscard]] bool fitted() const { return !means_.empty(); }
   [[nodiscard]] const std::vector<double>& means() const { return means_; }
   [[nodiscard]] const std::vector<double>& scales() const { return scales_; }
-  /// Rows seen by fit()/merge().
+  /// Rows behind the fitted moments.
   [[nodiscard]] std::size_t count() const { return count_; }
 
  private:
   std::vector<double> means_;
   std::vector<double> scales_;
-  std::vector<double> m2_;   ///< per-column Σ(x-mean)² (Welford's M2)
-  std::size_t count_ = 0;    ///< rows behind the moments
+  std::size_t count_ = 0;  ///< rows behind the moments
 };
 
 }  // namespace flare::ml

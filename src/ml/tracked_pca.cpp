@@ -63,7 +63,7 @@ PcaUpdateStats TrackedPca::fold(const linalg::Matrix& batch,
     for (std::size_t j = 0; j < d; ++j) z[j] += di * frame_(i, j);
   }
 
-  // Chan's scatter merge, the matrix analogue of Standardizer::merge:
+  // Chan's scatter merge of the batch into the running moments:
   //   M ← [(n₁−1)·M + YᵀY + (n₁n₂/n)·zzᵀ] / (n−1).
   linalg::Matrix merged =
       linalg::centered_cross_products(y, std::vector<double>(d, 0.0), pool);
@@ -112,13 +112,6 @@ PcaUpdateStats TrackedPca::fold(const linalg::Matrix& batch,
   stats.total_rows = count_;
   stats.subspace_drift = drift_;
   return stats;
-}
-
-PcaUpdateStats TrackedPca::fold(const linalg::Matrix& batch,
-                                util::ThreadPool* pool) {
-  Standardizer moments;
-  moments.fit(batch);
-  return fold(batch, moments, pool);
 }
 
 Pca TrackedPca::materialize(util::ThreadPool* pool) const {

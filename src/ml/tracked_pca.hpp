@@ -46,16 +46,11 @@ class TrackedPca {
 
   /// Folds a batch of fresh rows (same coordinate frame as the basis)
   /// without revisiting historical rows. `batch_moments` must be a
-  /// Standardizer fitted over exactly `batch`'s rows — the same Welford
-  /// moments `Standardizer::merge` folds, so streamed ingest maintains both
-  /// structures from one profiling pass. Cost O(n_batch·d²) for the merge
-  /// plus the leading-k eigensolve of the d × d M.
+  /// Standardizer fitted over exactly `batch`'s rows, so streamed ingest
+  /// takes the batch's moments from one profiling pass. Cost O(n_batch·d²)
+  /// for the merge plus the leading-k eigensolve of the d × d M.
   PcaUpdateStats fold(const linalg::Matrix& batch,
                       const Standardizer& batch_moments,
-                      util::ThreadPool* pool = nullptr);
-
-  /// Convenience overload that fits the batch moments internally.
-  PcaUpdateStats fold(const linalg::Matrix& batch,
                       util::ThreadPool* pool = nullptr);
 
   /// The full basis behind every row folded so far, as a fitted Pca

@@ -10,9 +10,15 @@
 #include <string>
 
 #include "serve/protocol.hpp"
-#include "serve/service_faults.hpp"
 
 namespace flare::serve {
+
+/// A client-side fault for call_with_fault to inject.
+enum class ClientFaultKind : unsigned char {
+  kNone,       ///< send the frame normally
+  kStall,      ///< send a prefix, sleep stall_ms, send the rest
+  kMalformed,  ///< send a corrupted frame instead
+};
 
 class ServeClient {
  public:

@@ -39,17 +39,6 @@ std::uint64_t get_u64(std::string_view b, std::size_t at) {
 
 }  // namespace
 
-std::string_view to_string(RequestType type) {
-  switch (type) {
-    case RequestType::kIngest: return "ingest";
-    case RequestType::kEvaluate: return "evaluate";
-    case RequestType::kReport: return "report";
-    case RequestType::kStatus: return "status";
-    case RequestType::kShutdown: return "shutdown";
-  }
-  return "unknown";
-}
-
 bool is_known_request_type(std::uint8_t raw) {
   return raw >= static_cast<std::uint8_t>(RequestType::kIngest) &&
          raw <= static_cast<std::uint8_t>(RequestType::kShutdown);

@@ -40,7 +40,6 @@ enum class RequestType : std::uint8_t {
   kShutdown = 5,  ///< payload empty; acks then stops the daemon
 };
 
-[[nodiscard]] std::string_view to_string(RequestType type);
 [[nodiscard]] bool is_known_request_type(std::uint8_t raw);
 
 /// Terminal outcome of a request — every request gets exactly one.

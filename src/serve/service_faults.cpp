@@ -1,44 +1,15 @@
 #include "serve/service_faults.hpp"
 
-#include "util/seed_stream.hpp"
-
 namespace flare::serve {
 
 ServiceFaultModel::ServiceFaultModel(ServiceFaultOptions options)
     : options_(options) {
-  active_ = options_.enabled &&
-            (options_.stall_rate > 0.0 || options_.malformed_rate > 0.0 ||
-             options_.burst_rate > 0.0 || options_.kill_after_ingest >= 0);
-}
-
-double ServiceFaultModel::uniform(std::string_view client_key,
-                                  std::uint64_t request_index,
-                                  std::uint64_t salt) const {
-  // Top 53 bits of the derived stream -> uniform double in [0, 1).
-  return util::uniform_from_stream(
-      util::derive_stream(client_key, options_.seed ^ salt, request_index));
-}
-
-ClientFaultKind ServiceFaultModel::client_fault(std::string_view client_key,
-                                               std::uint64_t request_index) const {
-  if (!active_) return ClientFaultKind::kNone;
-  const double draw = uniform(client_key, request_index, 0x11u);
-  if (draw < options_.stall_rate) return ClientFaultKind::kStall;
-  if (draw < options_.stall_rate + options_.malformed_rate) {
-    return ClientFaultKind::kMalformed;
-  }
-  return ClientFaultKind::kNone;
-}
-
-bool ServiceFaultModel::burst(std::string_view client_key,
-                              std::uint64_t request_index) const {
-  if (!active_ || options_.burst_rate <= 0.0) return false;
-  return uniform(client_key, request_index, 0x22u) < options_.burst_rate;
+  active_ = options_.enabled && options_.kill_after_ingest >= 0;
 }
 
 bool ServiceFaultModel::kill_now(KillPoint point,
                                  std::uint64_t commit_index) const {
-  if (!active_ || options_.kill_after_ingest < 0) return false;
+  if (!active_) return false;
   return point == options_.kill_point &&
          commit_index == static_cast<std::uint64_t>(options_.kill_after_ingest);
 }

@@ -1,16 +1,12 @@
 // Fault injection for the service plane — the serve-daemon counterpart of
-// CounterFaultModel (profiling side) and ReplayFaultModel (testbed side).
-// These faults exercise the daemon's robustness contract: clients that stall
-// mid-frame, clients that send malformed frames, bursty arrival patterns
-// that overflow the admission queues, and a daemon process killed at a
-// chosen point inside the ingest commit protocol. Everything is off by
-// default so the clean service path stays bit-identical; `ctest -L serve`
-// turns the rates up and asserts every request still reaches a terminal
-// outcome.
+// CounterFaultModel (profiling side) and ReplayFaultModel (testbed side): a
+// daemon process killed at a chosen point inside the ingest commit protocol.
+// Off by default so the clean service path stays bit-identical; the
+// fork-kill recovery tests (`ctest -L serve`) arm it and assert that
+// recovery keeps exactly the committed groups.
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 namespace flare::serve {
 
@@ -29,73 +25,31 @@ enum class KillPoint : unsigned char {
   kAfterCommit,
 };
 
-/// Deterministic service-fault knobs. Client-side rates are probabilities in
-/// [0, 1]; stall and malformed partition one uniform draw per request so
-/// streams stay layout-stable when individual rates change.
+/// Daemon-side fault knobs.
 struct ServiceFaultOptions {
   bool enabled = false;
-  /// Per request: the client writes only a prefix of the frame, stalls for
-  /// `stall_ms`, then completes it. The daemon must neither wedge on the
-  /// half-frame nor misparse the eventual completion.
-  double stall_rate = 0.0;
-  std::uint32_t stall_ms = 50;
-  /// Per request: the client sends a deliberately corrupted frame (bad
-  /// magic). The daemon must answer kFailed and close that connection
-  /// without disturbing others.
-  double malformed_rate = 0.0;
-  /// Per request: the client fires a burst of `burst_size` back-to-back
-  /// requests on separate connections instead of one, pressing on the
-  /// admission caps. Shed responses are the expected, accounted outcome.
-  double burst_rate = 0.0;
-  std::uint32_t burst_size = 4;
-  /// Daemon-side: _exit(137) at `kill_point` during the Nth (0-based)
-  /// coalesced ingest commit. -1 disables. One-shot and deterministic —
-  /// a crash is a point event, not a rate.
+  /// _exit(137) at `kill_point` during the Nth (0-based) coalesced ingest
+  /// commit. -1 disables. One-shot and deterministic — a crash is a point
+  /// event, not a rate.
   int kill_after_ingest = -1;
   KillPoint kill_point = KillPoint::kNone;
-  /// Seeded independently of the profiling / replay fault streams so the
-  /// same client fault pattern can overlay any workload.
-  std::uint64_t seed = 0x5E27EEull;
 };
 
-/// What the fault model decided for one client request.
-enum class ClientFaultKind : unsigned char {
-  kNone,       ///< send the frame normally
-  kStall,      ///< send a prefix, sleep stall_ms, send the rest
-  kMalformed,  ///< send a corrupted frame instead
-};
-
-/// Seeded fault injector for the service plane. Client decisions are a pure
-/// function of (seed, client key, request index); the daemon kill decision
-/// is a pure function of (kill_after_ingest, commit index). Bit-reproducible
-/// across runs and thread schedules.
+/// The daemon kill decision: a pure function of (kill_after_ingest, commit
+/// index), so a crash lands in the same durability window on every run.
 class ServiceFaultModel {
  public:
   ServiceFaultModel() = default;
   explicit ServiceFaultModel(ServiceFaultOptions options);
 
-  /// False when injection is disabled or every knob is off.
+  /// False when injection is disabled or no kill is armed.
   [[nodiscard]] bool active() const { return active_; }
-
-  /// Per-request client fault (stall / malformed partition one draw).
-  [[nodiscard]] ClientFaultKind client_fault(std::string_view client_key,
-                                             std::uint64_t request_index) const;
-
-  /// Per-request burst decision (independent draw — a burst can also stall).
-  [[nodiscard]] bool burst(std::string_view client_key,
-                           std::uint64_t request_index) const;
 
   /// True when the daemon must _exit at `point` during coalesced-ingest
   /// commit number `commit_index` (0-based).
   [[nodiscard]] bool kill_now(KillPoint point, std::uint64_t commit_index) const;
 
-  [[nodiscard]] const ServiceFaultOptions& options() const { return options_; }
-
  private:
-  [[nodiscard]] double uniform(std::string_view client_key,
-                               std::uint64_t request_index,
-                               std::uint64_t salt) const;
-
   ServiceFaultOptions options_{};
   bool active_ = false;
 };

@@ -1,8 +1,6 @@
 #include "stats/bootstrap.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "stats/descriptive.hpp"
 #include "util/error.hpp"
@@ -42,31 +40,6 @@ double inverse_normal_cdf(double p) {
 }
 
 }  // namespace
-
-ConfidenceInterval bootstrap_mean_ci(std::span<const double> values, double confidence,
-                                     int resamples, Rng& rng) {
-  ensure(!values.empty(), "bootstrap_mean_ci: empty input");
-  ensure(confidence > 0.0 && confidence < 1.0,
-         "bootstrap_mean_ci: confidence must be in (0, 1)");
-  ensure(resamples > 0, "bootstrap_mean_ci: resamples must be positive");
-
-  const std::size_t n = values.size();
-  std::vector<double> means;
-  means.reserve(static_cast<std::size_t>(resamples));
-  for (int r = 0; r < resamples; ++r) {
-    double sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      sum += values[rng.uniform_int(0, n - 1)];
-    }
-    means.push_back(sum / static_cast<double>(n));
-  }
-  const double alpha = 1.0 - confidence;
-  ConfidenceInterval ci;
-  ci.lower = percentile(means, alpha / 2.0);
-  ci.upper = percentile(means, 1.0 - alpha / 2.0);
-  ci.point = mean(values);
-  return ci;
-}
 
 ConfidenceInterval normal_mean_ci(std::span<const double> values, double confidence) {
   ensure(!values.empty(), "normal_mean_ci: empty input");

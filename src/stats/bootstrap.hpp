@@ -1,10 +1,8 @@
-// Bootstrap confidence intervals; used for sampling-baseline error bars
+// Confidence intervals of the mean; used for sampling-baseline error bars
 // (paper Fig. 12b reports 95% confidence intervals for random sampling).
 #pragma once
 
 #include <span>
-
-#include "stats/rng.hpp"
 
 namespace flare::stats {
 
@@ -18,12 +16,6 @@ struct ConfidenceInterval {
     return value >= lower && value <= upper;
   }
 };
-
-/// Percentile-bootstrap CI of the mean.
-/// `confidence` in (0, 1); `resamples` bootstrap iterations.
-[[nodiscard]] ConfidenceInterval bootstrap_mean_ci(std::span<const double> values,
-                                                   double confidence, int resamples,
-                                                   Rng& rng);
 
 /// Normal-approximation CI of the mean (mean ± z * s/sqrt(n)).
 [[nodiscard]] ConfidenceInterval normal_mean_ci(std::span<const double> values,

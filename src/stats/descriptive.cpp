@@ -25,14 +25,6 @@ double variance(std::span<const double> values) {
 
 double stddev(std::span<const double> values) { return std::sqrt(variance(values)); }
 
-double population_variance(std::span<const double> values) {
-  ensure(!values.empty(), "population_variance: empty input");
-  const double m = mean(values);
-  double sum_sq = 0.0;
-  for (const double v : values) sum_sq += (v - m) * (v - m);
-  return sum_sq / static_cast<double>(values.size());
-}
-
 double min_value(std::span<const double> values) {
   ensure(!values.empty(), "min_value: empty input");
   return *std::min_element(values.begin(), values.end());
@@ -58,13 +50,6 @@ double percentile(std::span<const double> values, double q) {
 double median(std::span<const double> values) { return percentile(values, 0.5); }
 
 void RunningStats::add(double value) {
-  if (count_ == 0) {
-    min_ = value;
-    max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
   ++count_;
   const double delta = value - mean_;
   mean_ += delta / static_cast<double>(count_);
@@ -82,31 +67,5 @@ double RunningStats::variance() const {
 }
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double RunningStats::min() const {
-  ensure(count_ > 0, "RunningStats::min: no samples");
-  return min_;
-}
-
-double RunningStats::max() const {
-  ensure(count_ > 0, "RunningStats::max: no samples");
-  return max_;
-}
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double total = static_cast<double>(count_ + other.count_);
-  const double delta = other.mean_ - mean_;
-  m2_ += other.m2_ + delta * delta * static_cast<double>(count_) *
-                         static_cast<double>(other.count_) / total;
-  mean_ += delta * static_cast<double>(other.count_) / total;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  count_ += other.count_;
-}
 
 }  // namespace flare::stats

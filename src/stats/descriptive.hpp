@@ -15,9 +15,6 @@ namespace flare::stats {
 /// Square root of `variance`.
 [[nodiscard]] double stddev(std::span<const double> values);
 
-/// Population (n) variance.
-[[nodiscard]] double population_variance(std::span<const double> values);
-
 [[nodiscard]] double min_value(std::span<const double> values);
 [[nodiscard]] double max_value(std::span<const double> values);
 
@@ -38,18 +35,11 @@ class RunningStats {
   /// Unbiased sample variance (0 when count < 2).
   [[nodiscard]] double variance() const;
   [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
-
-  /// Merges another accumulator (parallel reduction).
-  void merge(const RunningStats& other);
 
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 }  // namespace flare::stats

@@ -1,8 +1,5 @@
 #include "stats/summary.hpp"
 
-#include <algorithm>
-#include <numeric>
-
 #include "stats/descriptive.hpp"
 #include "util/error.hpp"
 
@@ -18,55 +15,6 @@ BoxSummary box_summary(std::span<const double> values) {
   s.max = max_value(values);
   s.mean = mean(values);
   return s;
-}
-
-ViolinSummary violin_summary(std::span<const double> values, int bins) {
-  ensure(bins > 0, "violin_summary: bins must be positive");
-  ViolinSummary v;
-  v.box = box_summary(values);
-  const Histogram h = histogram(values, bins);
-  const double width = h.bin_width();
-  const std::size_t peak = *std::max_element(h.counts.begin(), h.counts.end());
-  v.bin_centers.reserve(h.counts.size());
-  v.densities.reserve(h.counts.size());
-  for (std::size_t i = 0; i < h.counts.size(); ++i) {
-    v.bin_centers.push_back(h.lo + (static_cast<double>(i) + 0.5) * width);
-    v.densities.push_back(peak == 0 ? 0.0
-                                    : static_cast<double>(h.counts[i]) /
-                                          static_cast<double>(peak));
-  }
-  return v;
-}
-
-std::size_t Histogram::total() const {
-  return std::accumulate(counts.begin(), counts.end(), std::size_t{0});
-}
-
-double Histogram::bin_width() const {
-  if (counts.empty()) return 0.0;
-  return (hi - lo) / static_cast<double>(counts.size());
-}
-
-Histogram histogram(std::span<const double> values, int bins) {
-  ensure(!values.empty(), "histogram: empty input");
-  ensure(bins > 0, "histogram: bins must be positive");
-  Histogram h;
-  h.lo = min_value(values);
-  h.hi = max_value(values);
-  h.counts.assign(static_cast<std::size_t>(bins), 0);
-  if (h.hi == h.lo) {
-    // Degenerate: all mass in the first bin.
-    h.counts[0] = values.size();
-    h.hi = h.lo + 1.0;
-    return h;
-  }
-  const double width = (h.hi - h.lo) / bins;
-  for (const double v : values) {
-    auto idx = static_cast<std::size_t>((v - h.lo) / width);
-    if (idx >= h.counts.size()) idx = h.counts.size() - 1;  // v == max
-    ++h.counts[idx];
-  }
-  return h;
 }
 
 }  // namespace flare::stats

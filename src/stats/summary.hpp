@@ -3,7 +3,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 namespace flare::stats {
 
@@ -20,28 +19,5 @@ struct BoxSummary {
 };
 
 [[nodiscard]] BoxSummary box_summary(std::span<const double> values);
-
-/// Discretised density — the violin-plot body. `bin_centers[i]` has
-/// normalised density `densities[i]` (max bin == 1).
-struct ViolinSummary {
-  BoxSummary box;
-  std::vector<double> bin_centers;
-  std::vector<double> densities;
-};
-
-/// Histogram-based violin with `bins` bins over [min, max].
-[[nodiscard]] ViolinSummary violin_summary(std::span<const double> values, int bins);
-
-/// Fixed-width histogram.
-struct Histogram {
-  double lo = 0.0;
-  double hi = 0.0;
-  std::vector<std::size_t> counts;
-
-  [[nodiscard]] std::size_t total() const;
-  [[nodiscard]] double bin_width() const;
-};
-
-[[nodiscard]] Histogram histogram(std::span<const double> values, int bins);
 
 }  // namespace flare::stats

@@ -93,13 +93,9 @@ long long parse_csv_int(const std::string& token, const std::string& path,
   }
 }
 
-std::vector<std::string> read_lines(const std::string& path) {
-  return read_csv_content(path).lines;
-}
-
 CsvContent read_csv_content(const std::string& path) {
   std::ifstream in(path);
-  if (!in) throw ParseError("read_lines: cannot open file: " + path);
+  if (!in) throw ParseError("read_csv_content: cannot open file: " + path);
   CsvContent content;
   std::string line;
   while (std::getline(in, line)) {

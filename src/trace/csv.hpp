@@ -33,10 +33,6 @@ void write_csv_row(std::ostream& out, const std::vector<std::string>& fields);
                                       const std::string& path,
                                       std::size_t line_number);
 
-/// Reads all non-empty lines of a file; throws flare::ParseError when the
-/// file cannot be opened.
-[[nodiscard]] std::vector<std::string> read_lines(const std::string& path);
-
 /// A file's non-empty lines plus whether the final line was newline-
 /// terminated. Every writer in trace/ terminates the last record, so an
 /// unterminated final line is the signature of a torn append — loaders must
@@ -46,8 +42,8 @@ struct CsvContent {
   bool complete_final_line = true;
 };
 
-/// read_lines plus torn-tail detection; throws flare::ParseError when the
-/// file cannot be opened.
+/// Reads every non-empty line of a file, with torn-tail detection; throws
+/// flare::ParseError when the file cannot be opened.
 [[nodiscard]] CsvContent read_csv_content(const std::string& path);
 
 }  // namespace flare::trace

@@ -1,8 +1,5 @@
 #include "trace/store_io.hpp"
 
-#include <optional>
-
-#include "trace/journal.hpp"
 #include "trace/metric_io.hpp"
 
 namespace flare::trace {
@@ -13,14 +10,6 @@ void save_column_store(const metrics::MetricDatabase& db, const std::string& pat
   if (db.num_rows() > 0) {
     metrics::append_column_store_rows(path, db);
   }
-}
-
-void append_column_store(const metrics::MetricDatabase& batch,
-                         const std::string& path, bool journaled) {
-  std::optional<AppendJournal> journal;
-  if (journaled) journal.emplace(path);
-  metrics::append_column_store_rows(path, batch);
-  if (journal) journal->commit();
 }
 
 void csv_to_column_store(const std::string& csv_path,

@@ -1,11 +1,12 @@
-// Column-store persistence glue (DESIGN.md §12): crash-safe appends via the
-// PR-4 write-ahead undo journal, plus conversion from the CSV archives.
+// Column-store persistence glue (DESIGN.md §12): writing a database as a
+// fresh store, plus conversion from the CSV archives.
 //
 // The column store's append path is pure file growth (the header is never
-// rewritten), so the same journal that guards CSV appends guards store
-// appends: record the pre-append size, append blocks, commit. A crash
-// anywhere in between is rolled back by `recover_append(path)` — a pure
-// truncation that leaves the store exactly as before the append.
+// rewritten), so the same write-ahead undo journal that guards CSV appends
+// (trace/journal.hpp) guards store appends: open an AppendJournal, append
+// blocks, commit. A crash anywhere in between is rolled back by
+// `recover_append(path)` — a pure truncation that leaves the store exactly
+// as before the append.
 #pragma once
 
 #include <string>
@@ -18,12 +19,6 @@ namespace flare::trace {
 /// Writes `db` as a fresh column store at `path` (create + one append).
 void save_column_store(const metrics::MetricDatabase& db, const std::string& path,
                        std::size_t block_rows = 1024);
-
-/// Appends `batch`'s rows to an existing store. With `journaled`, the append
-/// is guarded by an AppendJournal: run `recover_append(path)` before opening
-/// a store that may have a torn append.
-void append_column_store(const metrics::MetricDatabase& batch,
-                         const std::string& path, bool journaled = false);
 
 /// Converts a metric CSV archive (trace/metric_io.hpp format) into a column
 /// store — the migration path for existing archives. Streams through an

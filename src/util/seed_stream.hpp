@@ -1,7 +1,7 @@
 // Seeded substream derivation shared by every fault/noise model that needs
 // "one independent RNG stream per (keyed entity, salt)" semantics. The three
-// historical copies (dcsim CounterFaultModel, dcsim ReplayFaultModel, serve
-// ServiceFaultModel) all hashed a string key with FNV-1a under a model seed
+// historical copies (dcsim CounterFaultModel, dcsim ReplayFaultModel and the
+// serve client fault plan) all hashed a string key with FNV-1a under a model seed
 // and then splitmix-finalised a salt on top; they now share this header so
 // the formula can never drift between subsystems. The regression test in
 // tests/util/seed_stream_test.cpp pins the outputs bit-for-bit to the

@@ -24,20 +24,12 @@ Fd& Fd::operator=(Fd&& other) noexcept {
   return *this;
 }
 
-int Fd::release() {
-  const int fd = fd_;
-  fd_ = -1;
-  return fd;
-}
-
 void Fd::reset() {
 #ifdef FLARE_HAVE_UNIX_SOCKETS
   if (fd_ >= 0) ::close(fd_);
 #endif
   fd_ = -1;
 }
-
-IoDeadline io_deadline_never() { return IoDeadline::max(); }
 
 IoDeadline io_deadline_in(std::chrono::milliseconds timeout) {
   return std::chrono::steady_clock::now() + timeout;

@@ -32,8 +32,6 @@ class Fd {
 
   [[nodiscard]] int get() const { return fd_; }
   [[nodiscard]] bool valid() const { return fd_ >= 0; }
-  /// Releases ownership without closing.
-  [[nodiscard]] int release();
   void reset();
 
  private:
@@ -50,8 +48,6 @@ enum class IoStatus : unsigned char {
 
 using IoDeadline = std::chrono::steady_clock::time_point;
 
-/// A deadline that never fires (for administrative paths like shutdown).
-[[nodiscard]] IoDeadline io_deadline_never();
 /// `timeout` from now.
 [[nodiscard]] IoDeadline io_deadline_in(std::chrono::milliseconds timeout);
 

@@ -22,15 +22,6 @@ std::vector<std::string> split(std::string_view text, char delimiter) {
   }
 }
 
-std::string join(const std::vector<std::string>& parts, std::string_view separator) {
-  std::string out;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i != 0) out.append(separator);
-    out.append(parts[i]);
-  }
-  return out;
-}
-
 std::string_view trim(std::string_view text) {
   while (!text.empty() && std::isspace(static_cast<unsigned char>(text.front()))) {
     text.remove_prefix(1);
@@ -55,12 +46,6 @@ std::string format_double_exact(double value) {
 
 bool starts_with(std::string_view text, std::string_view prefix) {
   return text.substr(0, prefix.size()) == prefix;
-}
-
-std::string to_lower(std::string_view text) {
-  std::string out(text);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
 }
 
 double parse_double(std::string_view text) {

@@ -10,10 +10,6 @@ namespace flare::util {
 /// Splits `text` on `delimiter`, keeping empty fields.
 [[nodiscard]] std::vector<std::string> split(std::string_view text, char delimiter);
 
-/// Joins `parts` with `separator`.
-[[nodiscard]] std::string join(const std::vector<std::string>& parts,
-                               std::string_view separator);
-
 /// Removes leading and trailing ASCII whitespace.
 [[nodiscard]] std::string_view trim(std::string_view text);
 
@@ -26,9 +22,6 @@ namespace flare::util {
 
 /// True when `text` begins with `prefix`.
 [[nodiscard]] bool starts_with(std::string_view text, std::string_view prefix);
-
-/// Lower-cases ASCII characters.
-[[nodiscard]] std::string to_lower(std::string_view text);
 
 /// Parses a double, throwing flare::ParseError on malformed input.
 [[nodiscard]] double parse_double(std::string_view text);

@@ -204,7 +204,7 @@ TEST(AnalyzerRecluster, ReweightingMovesClusterWeights) {
   // Concentrate all weight on the members of cluster 0.
   std::vector<double> weights(base.cluster_space.rows(), 0.0);
   for (const std::size_t m : base.clustering.members_of(0)) weights[m] = 1.0;
-  const AnalysisResult result = analyzer.recluster(base, weights);
+  const AnalysisResult result = analyzer.recluster(base, weights, nullptr);
   double sum = 0.0;
   for (const double w : result.cluster_weights) sum += w;
   EXPECT_NEAR(sum, 1.0, 1e-9);
@@ -219,12 +219,12 @@ TEST(AnalyzerRecluster, ReweightingMovesClusterWeights) {
 TEST(AnalyzerRecluster, ValidatesWeights) {
   const Analyzer analyzer(testing::small_flare_config().analyzer);
   const AnalysisResult& base = testing::fitted_pipeline().analysis();
-  EXPECT_THROW(analyzer.recluster(base, {1.0, 2.0}), std::invalid_argument);
+  EXPECT_THROW(analyzer.recluster(base, {1.0, 2.0}, nullptr), std::invalid_argument);
   std::vector<double> negative(base.cluster_space.rows(), 1.0);
   negative[0] = -1.0;
-  EXPECT_THROW(analyzer.recluster(base, negative), std::invalid_argument);
+  EXPECT_THROW(analyzer.recluster(base, negative, nullptr), std::invalid_argument);
   const std::vector<double> zeros(base.cluster_space.rows(), 0.0);
-  EXPECT_THROW(analyzer.recluster(base, zeros), std::invalid_argument);
+  EXPECT_THROW(analyzer.recluster(base, zeros, nullptr), std::invalid_argument);
 }
 
 TEST(AnalyzerSuggestK, FindsTheSseElbow) {

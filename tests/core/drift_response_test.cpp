@@ -10,6 +10,7 @@
 #include "core/analyzer.hpp"
 #include "core/drift.hpp"
 #include "linalg/matrix.hpp"
+#include "tests/util/matrix_matchers.hpp"
 
 namespace flare::core {
 namespace {
@@ -183,14 +184,14 @@ TEST(DriftResponse, FasterDriftTightensTheStalenessBudget) {
 /// One fitted centroid at the origin; batch rows at the caller's positions.
 AnalysisResult analysis_with_origin_centroid() {
   AnalysisResult analysis;
-  analysis.clustering.centroids = linalg::Matrix::from_rows({{0.0, 0.0}});
+  analysis.clustering.centroids = testing::from_rows({{0.0, 0.0}});
   return analysis;
 }
 
 TEST(EpisodeDetection, CoherentClumpIsFencedAsOneEpisode) {
   const AnalysisResult analysis = analysis_with_origin_centroid();
   // Rows 0-3: a tight clump far from the fitted centroid. Row 4: covered.
-  const linalg::Matrix projected = linalg::Matrix::from_rows({
+  const linalg::Matrix projected = testing::from_rows({
       {10.0, 10.0}, {10.1, 9.9}, {9.9, 10.1}, {10.05, 10.0}, {0.1, 0.0}});
   DriftReport drift;
   drift.uncovered_rows = {3, 0, 2, 1};  // unordered on purpose
@@ -209,7 +210,7 @@ TEST(EpisodeDetection, StraysAreTrimmedAndOnlyTheCoherentCoreIsFenced) {
   // Rows 0-3: the episode clump. Rows 4-6: honest out-of-coverage drift
   // rows scattered elsewhere — they dilute the whole-set coherence but must
   // be trimmed off, not fenced.
-  const linalg::Matrix projected = linalg::Matrix::from_rows({
+  const linalg::Matrix projected = testing::from_rows({
       {10.0, 10.0}, {10.1, 9.9}, {9.9, 10.1}, {10.05, 10.0},
       {-6.0, 2.0}, {3.0, -7.0}, {-2.0, -2.0}});
   DriftReport drift;
@@ -227,7 +228,7 @@ TEST(EpisodeDetection, DispersedNoiseIsNotAnEpisode) {
   const AnalysisResult analysis = analysis_with_origin_centroid();
   // Four uncovered rows scattered in opposite directions: their mutual
   // dispersion matches their separation — i.i.d.-noise geometry.
-  const linalg::Matrix projected = linalg::Matrix::from_rows({
+  const linalg::Matrix projected = testing::from_rows({
       {10.0, 0.0}, {-10.0, 0.0}, {0.0, 10.0}, {0.0, -10.0}});
   DriftReport drift;
   drift.uncovered_rows = {0, 1, 2, 3};
@@ -244,7 +245,7 @@ TEST(EpisodeDetection, RowsJustBeyondTheCoverageRadiusAreNotAnEpisode) {
   // A tight clump just outside the coverage radius: honest drift evidence
   // every fresh batch carries, not an interference episode. The separation
   // prefilter (2.5× the radius by default) must reject it.
-  const linalg::Matrix projected = linalg::Matrix::from_rows({
+  const linalg::Matrix projected = testing::from_rows({
       {1.1, 0.0}, {1.15, 0.05}, {1.12, -0.04}, {1.08, 0.02}});
   DriftReport drift;
   drift.uncovered_rows = {0, 1, 2, 3};
@@ -256,7 +257,7 @@ TEST(EpisodeDetection, RowsJustBeyondTheCoverageRadiusAreNotAnEpisode) {
       detect_anomalous_episode(analysis, projected, drift, config).detected());
 
   // The same clump four radii out is unambiguous interference.
-  const linalg::Matrix far = linalg::Matrix::from_rows({
+  const linalg::Matrix far = testing::from_rows({
       {4.1, 0.0}, {4.15, 0.05}, {4.12, -0.04}, {4.08, 0.02}});
   EXPECT_TRUE(detect_anomalous_episode(analysis, far, drift, config).detected());
 }
@@ -264,7 +265,7 @@ TEST(EpisodeDetection, RowsJustBeyondTheCoverageRadiusAreNotAnEpisode) {
 TEST(EpisodeDetection, BelowMinimumRowsNeverFences) {
   const AnalysisResult analysis = analysis_with_origin_centroid();
   const linalg::Matrix projected =
-      linalg::Matrix::from_rows({{10.0, 10.0}, {10.1, 9.9}, {9.9, 10.1}});
+      testing::from_rows({{10.0, 10.0}, {10.1, 9.9}, {9.9, 10.1}});
   DriftReport drift;
   drift.uncovered_rows = {0, 1, 2};
   DriftResponseConfig config = test_config();

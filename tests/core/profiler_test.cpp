@@ -48,8 +48,10 @@ TEST_F(ProfilerTest, MoreSamplesReduceMeasurementSpread) {
     cfg.noise_stream = 222;
     const Profiler p2(model_, cfg);
     const auto& cat = metrics::MetricCatalog::standard();
-    const auto r1 = p1.profile_scenario(set_.scenarios[0], dcsim::default_machine(), cat);
-    const auto r2 = p2.profile_scenario(set_.scenarios[0], dcsim::default_machine(), cat);
+    const auto r1 =
+        testing::profile_one(p1, set_.scenarios[0], dcsim::default_machine(), cat);
+    const auto r2 =
+        testing::profile_one(p2, set_.scenarios[0], dcsim::default_machine(), cat);
     const std::size_t mips = *cat.index_of("Machine.MIPS");
     return std::abs(r1.values[mips] - r2.values[mips]) /
            std::max(r1.values[mips], 1e-9);
@@ -87,10 +89,11 @@ TEST_F(ProfilerTest, MachineConfigChangesTheRows) {
   const Profiler profiler(model_);
   const auto& cat = metrics::MetricCatalog::standard();
   const auto def =
-      profiler.profile_scenario(set_.scenarios[0], dcsim::default_machine(), cat);
+      testing::profile_one(profiler, set_.scenarios[0], dcsim::default_machine(), cat);
   dcsim::MachineConfig small_cache = dcsim::default_machine();
   small_cache.llc_mb_per_socket = 12.0;
-  const auto feat = profiler.profile_scenario(set_.scenarios[0], small_cache, cat);
+  const auto feat =
+      testing::profile_one(profiler, set_.scenarios[0], small_cache, cat);
   const std::size_t mpki = *cat.index_of("HP.LLC_MPKI");
   EXPECT_GT(feat.values[mpki], def.values[mpki]);
 }

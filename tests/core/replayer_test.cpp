@@ -22,17 +22,18 @@ class ReplayerTest : public ::testing::Test {
 TEST_F(ReplayerTest, BillsDistinctScenarioFeaturePairsOnce) {
   const dcsim::ColocationScenario a = scenario_with(1);
   const dcsim::ColocationScenario b = scenario_with(2);
-  (void)replayer_.replay_scenario_impact(a, feature_dvfs_cap());
-  (void)replayer_.replay_scenario_impact(a, feature_dvfs_cap());  // same pair
-  (void)replayer_.replay_scenario_impact(b, feature_dvfs_cap());
-  (void)replayer_.replay_scenario_impact(a, feature_smt_off());   // new feature
+  (void)replayer_.replay_scenario_measured(a, feature_dvfs_cap());
+  (void)replayer_.replay_scenario_measured(a, feature_dvfs_cap());  // same pair
+  (void)replayer_.replay_scenario_measured(b, feature_dvfs_cap());
+  (void)replayer_.replay_scenario_measured(a, feature_smt_off());   // new feature
   EXPECT_EQ(replayer_.distinct_scenario_replays(), 3u);
   EXPECT_EQ(replayer_.total_replays(), 4u);
 }
 
 TEST_F(ReplayerTest, ScenarioImpactMatchesImpactModelInTestbedContext) {
   const dcsim::ColocationScenario s = scenario_with(7);
-  const double via_replayer = replayer_.replay_scenario_impact(s, feature_dvfs_cap());
+  const double via_replayer =
+      replayer_.replay_scenario_measured(s, feature_dvfs_cap()).impact_pct;
   const double direct = impact_.scenario_impact_pct(s.mix, feature_dvfs_cap(),
                                                     MeasurementContext::kTestbed);
   EXPECT_DOUBLE_EQ(via_replayer, direct);
@@ -40,8 +41,11 @@ TEST_F(ReplayerTest, ScenarioImpactMatchesImpactModelInTestbedContext) {
 
 TEST_F(ReplayerTest, JobImpactMatchesImpactModel) {
   const dcsim::ColocationScenario s = scenario_with(9);
-  const double via_replayer = replayer_.replay_job_impact(
-      dcsim::JobType::kDataServing, s, feature_cache_sizing());
+  const double via_replayer =
+      replayer_
+          .replay_job_measured(dcsim::JobType::kDataServing, s,
+                               feature_cache_sizing())
+          .impact_pct;
   const double direct =
       impact_.job_impact_pct(dcsim::JobType::kDataServing, s.mix,
                              feature_cache_sizing(), MeasurementContext::kTestbed);
@@ -51,8 +55,8 @@ TEST_F(ReplayerTest, JobImpactMatchesImpactModel) {
 
 TEST_F(ReplayerTest, JobImpactRequiresJobPresence) {
   const dcsim::ColocationScenario s = scenario_with(11);
-  EXPECT_THROW(replayer_.replay_job_impact(dcsim::JobType::kWebSearch, s,
-                                           feature_dvfs_cap()),
+  EXPECT_THROW((void)replayer_.replay_job_measured(dcsim::JobType::kWebSearch,
+                                                  s, feature_dvfs_cap()),
                std::invalid_argument);
 }
 
@@ -75,8 +79,8 @@ TEST_F(ReplayerTest, DistinctFeaturesSharingANameBillSeparately) {
     m.max_freq_ghz = 1.5;
     return m;
   });
-  (void)replayer_.replay_scenario_impact(s, cap_a);
-  (void)replayer_.replay_scenario_impact(s, cap_b);
+  (void)replayer_.replay_scenario_measured(s, cap_a);
+  (void)replayer_.replay_scenario_measured(s, cap_b);
   EXPECT_EQ(replayer_.distinct_scenario_replays(), 2u);
   EXPECT_EQ(replayer_.total_replays(), 2u);
 
@@ -86,7 +90,7 @@ TEST_F(ReplayerTest, DistinctFeaturesSharingANameBillSeparately) {
     m.max_freq_ghz = 2.0;
     return m;
   });
-  (void)replayer_.replay_scenario_impact(s, cap_c);
+  (void)replayer_.replay_scenario_measured(s, cap_c);
   EXPECT_EQ(replayer_.distinct_scenario_replays(), 2u);
   EXPECT_EQ(replayer_.total_replays(), 3u);
 }

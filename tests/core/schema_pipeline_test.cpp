@@ -24,8 +24,8 @@ TEST(JobMixProfiling, MixColumnsCarryExactInstanceCounts) {
   const auto& schema = metrics::MetricCatalog::standard_with_job_mix();
   const auto& set = testing::small_scenario_set();
   for (const std::size_t i : {std::size_t{0}, std::size_t{5}, std::size_t{50}}) {
-    const metrics::MetricRow row =
-        profiler.profile_scenario(set.scenarios[i], dcsim::default_machine(), schema);
+    const metrics::MetricRow row = testing::profile_one(
+        profiler, set.scenarios[i], dcsim::default_machine(), schema);
     for (const dcsim::JobType type : dcsim::all_job_types()) {
       const auto idx = schema.index_of(
           "Machine.Mix_" + std::string(dcsim::job_code(type)) + "_Instances");
@@ -44,7 +44,7 @@ TEST(TemporalProfiling, StdColumnsMeasureSamplingSpread) {
       metrics::MetricCatalog::with_temporal_stddev(metrics::MetricCatalog::standard());
   const auto& scenario = testing::small_scenario_set().scenarios[3];
   const metrics::MetricRow row =
-      profiler.profile_scenario(scenario, dcsim::default_machine(), schema);
+      testing::profile_one(profiler, scenario, dcsim::default_machine(), schema);
 
   const auto mips = schema.index_of("Machine.MIPS");
   const auto mips_std = schema.index_of("Machine.MIPS_Std");
@@ -67,8 +67,9 @@ TEST(TemporalProfiling, SingleSampleGivesZeroStd) {
   const Profiler profiler(model, config);
   const metrics::MetricCatalog schema =
       metrics::MetricCatalog::with_temporal_stddev(metrics::MetricCatalog::standard());
-  const metrics::MetricRow row = profiler.profile_scenario(
-      testing::small_scenario_set().scenarios[0], dcsim::default_machine(), schema);
+  const metrics::MetricRow row =
+      testing::profile_one(profiler, testing::small_scenario_set().scenarios[0],
+                           dcsim::default_machine(), schema);
   for (const metrics::MetricInfo& m : schema.metrics()) {
     if (metrics::MetricCatalog::is_stddev_column(m)) {
       EXPECT_DOUBLE_EQ(row.values[m.index], 0.0) << m.name;
@@ -83,10 +84,10 @@ TEST(TemporalProfiling, BaseColumnsUnchangedByEnrichment) {
   const metrics::MetricCatalog enriched =
       metrics::MetricCatalog::with_temporal_stddev(base_schema);
   const auto& scenario = testing::small_scenario_set().scenarios[7];
-  const metrics::MetricRow plain =
-      profiler.profile_scenario(scenario, dcsim::default_machine(), base_schema);
-  const metrics::MetricRow rich =
-      profiler.profile_scenario(scenario, dcsim::default_machine(), enriched);
+  const metrics::MetricRow plain = testing::profile_one(
+      profiler, scenario, dcsim::default_machine(), base_schema);
+  const metrics::MetricRow rich = testing::profile_one(
+      profiler, scenario, dcsim::default_machine(), enriched);
   for (std::size_t i = 0; i < base_schema.size(); ++i) {
     EXPECT_DOUBLE_EQ(plain.values[i], rich.values[i]) << base_schema.info(i).name;
   }

@@ -28,10 +28,13 @@ class TailLatencyTest : public ::testing::Test {
 };
 
 TEST_F(TailLatencyTest, LatencySensitivityFollowsServiceTimes) {
-  EXPECT_TRUE(tail_.is_latency_sensitive(dcsim::JobType::kDataCaching));
-  EXPECT_TRUE(tail_.is_latency_sensitive(dcsim::JobType::kWebSearch));
-  EXPECT_FALSE(tail_.is_latency_sensitive(dcsim::JobType::kGraphAnalytics));
-  EXPECT_FALSE(tail_.is_latency_sensitive(dcsim::JobType::kLpMcf));
+  // A job has latency semantics exactly when its base service time is
+  // nonzero; the tail model reads that from the catalog.
+  const dcsim::JobCatalog& catalog = impact_.model().catalog();
+  EXPECT_GT(catalog.profile(dcsim::JobType::kDataCaching).base_service_ms, 0.0);
+  EXPECT_GT(catalog.profile(dcsim::JobType::kWebSearch).base_service_ms, 0.0);
+  EXPECT_EQ(catalog.profile(dcsim::JobType::kGraphAnalytics).base_service_ms, 0.0);
+  EXPECT_EQ(catalog.profile(dcsim::JobType::kLpMcf).base_service_ms, 0.0);
 }
 
 TEST_F(TailLatencyTest, UncontendedServiceTimeNearNominal) {

@@ -4,6 +4,7 @@
 #pragma once
 
 #include "core/pipeline.hpp"
+#include "core/profiler.hpp"
 #include "dcsim/submission.hpp"
 
 namespace flare::core::testing {
@@ -15,6 +16,16 @@ inline const dcsim::ScenarioSet& small_scenario_set() {
     return dcsim::generate_scenario_set(config, dcsim::default_machine());
   }();
   return kSet;
+}
+
+/// Profiles one scenario through the batch path (one averaged row).
+inline metrics::MetricRow profile_one(const Profiler& profiler,
+                                      const dcsim::ColocationScenario& scenario,
+                                      const dcsim::MachineConfig& machine,
+                                      const metrics::MetricCatalog& schema) {
+  dcsim::ScenarioSet set;
+  set.scenarios.push_back(scenario);
+  return profiler.profile(set, machine, schema).row(0);
 }
 
 inline FlareConfig small_flare_config() {

@@ -155,24 +155,6 @@ TEST(Dynamics, UpgradeCutoverMigratesTheConfiguredFraction) {
   EXPECT_EQ(migrated_after, 4);   // round(0.5 * 8)
 }
 
-TEST(Dynamics, UpgradedProfileIsDeterministicAndStationaryAtVersionOne) {
-  const JobCatalog& catalog = default_job_catalog();
-  const JobProfile& base = catalog.profile(JobType::kWebSearch);
-  const JobProfile same = upgraded_profile(base, 1, 0.3);
-  EXPECT_DOUBLE_EQ(same.base_cpi, base.base_cpi);
-  EXPECT_EQ(same.version, base.version);
-
-  const JobProfile v2a = upgraded_profile(base, 2, 0.3);
-  const JobProfile v2b = upgraded_profile(base, 2, 0.3);
-  EXPECT_EQ(v2a.version, 2);
-  EXPECT_DOUBLE_EQ(v2a.base_cpi, v2b.base_cpi);
-  EXPECT_DOUBLE_EQ(v2a.llc_apki, v2b.llc_apki);
-  EXPECT_NE(v2a.base_cpi, base.base_cpi);
-  // Log-scale bound: every bumped parameter stays within exp(±shift).
-  EXPECT_LE(v2a.base_cpi, base.base_cpi * std::exp(0.3) + 1e-12);
-  EXPECT_GE(v2a.base_cpi, base.base_cpi * std::exp(-0.3) - 1e-12);
-}
-
 /// The overlay's cluster coherence: two rows tagged with the same episode
 /// move every metric by the same factor; occupancy columns never move; an
 /// untagged row is untouched.

@@ -185,8 +185,7 @@ TEST_F(InterferenceModelTest, MachineAggregatesAreConsistent) {
 
 TEST_F(InterferenceModelTest, JobLookup) {
   const auto perf = model_.evaluate(machine_, mix_of({{JobType::kDataCaching, 1}}));
-  EXPECT_TRUE(perf.has_job(JobType::kDataCaching));
-  EXPECT_FALSE(perf.has_job(JobType::kLpMcf));
+  EXPECT_EQ(perf.job(JobType::kDataCaching).type, JobType::kDataCaching);
   EXPECT_THROW(perf.job(JobType::kLpMcf), std::invalid_argument);
 }
 

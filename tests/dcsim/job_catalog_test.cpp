@@ -121,7 +121,6 @@ TEST(MissRatioCurve, MonotoneNonIncreasingInCache) {
 TEST(MissRatioCurve, ZeroCacheMissesEverything) {
   const JobProfile& p = default_job_catalog().profile(JobType::kDataAnalytics);
   EXPECT_NEAR(p.miss_ratio(0.0), 1.0, 1e-12);
-  EXPECT_NEAR(p.mpki(0.0), p.llc_apki, 1e-9);
 }
 
 TEST(MissRatioCurve, NegativeCacheClampedToZero) {

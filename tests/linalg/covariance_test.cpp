@@ -4,12 +4,13 @@
 
 #include "stats/descriptive.hpp"
 #include "stats/rng.hpp"
+#include "tests/util/matrix_matchers.hpp"
 
 namespace flare::linalg {
 namespace {
 
 TEST(ColumnMeans, MatchesPerColumnMean) {
-  const Matrix m = Matrix::from_rows({{1, 10}, {3, 20}, {5, 30}});
+  const Matrix m = testing::from_rows({{1, 10}, {3, 20}, {5, 30}});
   const auto means = column_means(m);
   EXPECT_DOUBLE_EQ(means[0], 3.0);
   EXPECT_DOUBLE_EQ(means[1], 20.0);
@@ -40,7 +41,7 @@ TEST(Covariance, IsSymmetric) {
     for (std::size_t c = 0; c < 4; ++c) data(r, c) = rng.normal();
   }
   const Matrix cov = covariance_matrix(data);
-  EXPECT_LT(cov.max_abs_diff(cov.transposed()), 1e-15);
+  EXPECT_LT(testing::max_abs_diff(cov, cov.transposed()), 1e-15);
 }
 
 TEST(Covariance, PerfectlyCorrelatedColumns) {
@@ -72,7 +73,7 @@ TEST(Covariance, RequiresTwoObservations) {
 }
 
 TEST(Covariance, ConstantColumnHasZeroVariance) {
-  const Matrix data = Matrix::from_rows({{1, 7}, {2, 7}, {3, 7}});
+  const Matrix data = testing::from_rows({{1, 7}, {2, 7}, {3, 7}});
   const Matrix cov = covariance_matrix(data);
   EXPECT_DOUBLE_EQ(cov(1, 1), 0.0);
   EXPECT_DOUBLE_EQ(cov(0, 1), 0.0);

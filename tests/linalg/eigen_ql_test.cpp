@@ -81,8 +81,16 @@ Matrix make_instance(int family, std::size_t n, stats::Rng& rng) {
         if (rng.uniform() < 0.2) level = rng.normal();
         values[i] = level;
       }
-      m = rng.uniform() < 0.3 ? Matrix::identity(n) * values[0]
-                                  : with_spectrum(values, rng);
+      if (rng.uniform() < 0.3) {
+        m = Matrix(n, n);  // values[0]·I, signed zeros included
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t j = 0; j < n; ++j) {
+            m(i, j) = (i == j ? 1.0 : 0.0) * values[0];
+          }
+        }
+      } else {
+        m = with_spectrum(values, rng);
+      }
       break;
     }
     case 4:  // zero

@@ -40,7 +40,7 @@ TEST(SymmetricEigen, DiagonalMatrixEigenvaluesSortedDescending) {
 
 TEST(SymmetricEigen, KnownTwoByTwo) {
   // [[2,1],[1,2]] has eigenvalues 3 and 1.
-  const Matrix m = Matrix::from_rows({{2, 1}, {1, 2}});
+  const Matrix m = testing::from_rows({{2, 1}, {1, 2}});
   const auto result = symmetric_eigen(m);
   EXPECT_NEAR(result.eigenvalues[0], 3.0, 1e-10);
   EXPECT_NEAR(result.eigenvalues[1], 1.0, 1e-10);
@@ -55,7 +55,7 @@ TEST(SymmetricEigen, ReconstructsOriginalMatrix) {
   Matrix lambda(12, 12);
   for (std::size_t i = 0; i < 12; ++i) lambda(i, i) = values[i];
   const Matrix rebuilt = vectors.multiply(lambda).multiply(vectors.transposed());
-  EXPECT_LT(rebuilt.max_abs_diff(m), 1e-8);
+  EXPECT_LT(testing::max_abs_diff(rebuilt, m), 1e-8);
 }
 
 TEST(SymmetricEigen, EigenvectorsAreOrthonormal) {
@@ -63,7 +63,7 @@ TEST(SymmetricEigen, EigenvectorsAreOrthonormal) {
   const auto result = symmetric_eigen(m);
   const Matrix vtv =
       result.eigenvectors.transposed().multiply(result.eigenvectors);
-  EXPECT_LT(vtv.max_abs_diff(Matrix::identity(10)), 1e-9);
+  EXPECT_LT(testing::max_abs_diff(vtv, Matrix::identity(10)), 1e-9);
 }
 
 TEST(SymmetricEigen, SatisfiesEigenEquation) {
@@ -71,7 +71,7 @@ TEST(SymmetricEigen, SatisfiesEigenEquation) {
   const auto result = symmetric_eigen(m);
   for (std::size_t j = 0; j < 8; ++j) {
     const std::vector<double> v = result.eigenvectors.column(j);
-    const std::vector<double> mv = m.multiply(v);
+    const std::vector<double> mv = testing::matvec(m, v);
     for (std::size_t i = 0; i < 8; ++i) {
       EXPECT_NEAR(mv[i], result.eigenvalues[j] * v[i], 1e-8);
     }
@@ -97,17 +97,18 @@ TEST(SymmetricEigen, OneByOne) {
 
 TEST(SymmetricEigen, RejectsNonSquareAndAsymmetric) {
   EXPECT_THROW(symmetric_eigen(Matrix(2, 3)), std::invalid_argument);
-  const Matrix asym = Matrix::from_rows({{1, 2}, {0, 1}});
+  const Matrix asym = testing::from_rows({{1, 2}, {0, 1}});
   EXPECT_THROW(symmetric_eigen(asym), std::invalid_argument);
 }
 
 TEST(SymmetricEigen, HandlesRepeatedEigenvalues) {
-  const Matrix id2 = Matrix::identity(4) * 2.0;
+  Matrix id2(4, 4);
+  for (std::size_t i = 0; i < 4; ++i) id2(i, i) = 2.0;
   const auto result = symmetric_eigen(id2);
   for (const double ev : result.eigenvalues) EXPECT_NEAR(ev, 2.0, 1e-10);
   const Matrix vtv =
       result.eigenvectors.transposed().multiply(result.eigenvectors);
-  EXPECT_LT(vtv.max_abs_diff(Matrix::identity(4)), 1e-9);
+  EXPECT_LT(testing::max_abs_diff(vtv, Matrix::identity(4)), 1e-9);
 }
 
 TEST(SymmetricEigen, HandlesZeroMatrix) {
@@ -146,7 +147,7 @@ TEST(SymmetricEigenWarm, MatchesColdSolverOnNearDiagonalInput) {
 
 TEST(SymmetricEigenWarm, SharesTheColdSolverContract) {
   EXPECT_THROW(symmetric_eigen_ql(Matrix(2, 3)), std::invalid_argument);
-  const Matrix asym = Matrix::from_rows({{1, 2}, {0, 1}});
+  const Matrix asym = testing::from_rows({{1, 2}, {0, 1}});
   EXPECT_THROW(symmetric_eigen_ql(asym), std::invalid_argument);
   const auto one = symmetric_eigen_ql(near_diagonal(1, 0.0, 0));
   EXPECT_DOUBLE_EQ(one.eigenvalues[0], 1.0);
@@ -162,11 +163,11 @@ TEST(SymmetricEigenWarmProperty, ReconstructsAndStaysOrthonormal) {
     const Matrix& vectors = result.eigenvectors;
     for (std::size_t i = 1; i < n; ++i) EXPECT_GE(values[i - 1], values[i]);
     const Matrix vtv = vectors.transposed().multiply(vectors);
-    EXPECT_LT(vtv.max_abs_diff(Matrix::identity(n)), 1e-9);
+    EXPECT_LT(testing::max_abs_diff(vtv, Matrix::identity(n)), 1e-9);
     Matrix lambda(n, n);
     for (std::size_t i = 0; i < n; ++i) lambda(i, i) = values[i];
     const Matrix rebuilt = vectors.multiply(lambda).multiply(vectors.transposed());
-    EXPECT_LT(rebuilt.max_abs_diff(m), 1e-8);
+    EXPECT_LT(testing::max_abs_diff(rebuilt, m), 1e-8);
   });
 }
 
@@ -212,7 +213,7 @@ TEST(SymmetricEigenQl, OverflowingReductionHitsTheIterationCap) {
   // throws instead of looping forever (JAMA's tql2 has no cap) or returning
   // NaN eigenpairs.
   const double big = std::numeric_limits<double>::max();
-  const Matrix m = Matrix::from_rows({{big, big}, {big, -big}});
+  const Matrix m = testing::from_rows({{big, big}, {big, -big}});
   try {
     (void)symmetric_eigen_ql(m);
     FAIL() << "an overflowing solve must throw";
@@ -239,7 +240,7 @@ TEST(SymmetricEigenLeading, OverflowingReductionHitsTheIterationCap) {
   // The eigenvalue half runs the same capped QL recurrences as
   // symmetric_eigen_ql, so the same NaN reduction stops at the same cap.
   const double big = std::numeric_limits<double>::max();
-  const Matrix m = Matrix::from_rows({{big, big}, {big, -big}});
+  const Matrix m = testing::from_rows({{big, big}, {big, -big}});
   try {
     (void)symmetric_eigen_leading(m, 1);
     FAIL() << "an overflowing solve must throw";
@@ -252,7 +253,7 @@ TEST(SymmetricEigenLeading, OverflowingSpectrumThrowsNumericalError) {
   // Finite entries whose eigenvalue 2·max overflows: a non-finite result
   // throws instead of coming back.
   const double big = std::numeric_limits<double>::max();
-  const Matrix m = Matrix::from_rows({{big, big}, {big, big}});
+  const Matrix m = testing::from_rows({{big, big}, {big, big}});
   EXPECT_THROW((void)symmetric_eigen_ql(m), NumericalError);
   for (const std::size_t k : {0u, 1u, 2u}) {
     EXPECT_THROW((void)symmetric_eigen_leading(m, k), NumericalError) << "k " << k;
@@ -324,7 +325,7 @@ TEST_P(EigenSizeSweep, ReconstructionHoldsAcrossSizes) {
   Matrix lambda(n, n);
   for (std::size_t i = 0; i < n; ++i) lambda(i, i) = values[i];
   const Matrix rebuilt = vectors.multiply(lambda).multiply(vectors.transposed());
-  EXPECT_LT(rebuilt.max_abs_diff(m), 1e-7);
+  EXPECT_LT(testing::max_abs_diff(rebuilt, m), 1e-7);
   // Eigenvalues are sorted descending.
   for (std::size_t i = 1; i < n; ++i) EXPECT_GE(values[i - 1], values[i]);
 }

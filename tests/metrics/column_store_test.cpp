@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "tests/util/store_readers.hpp"
 #include "util/error.hpp"
 
 namespace flare::metrics {
@@ -65,11 +66,11 @@ TEST_F(ColumnStoreTest, RoundTripsBitIdentically) {
 
   // Every byte of every value survives the round trip.
   const linalg::Matrix expect = db.to_matrix();
-  const linalg::Matrix got = store.to_matrix();
+  const linalg::Matrix got = testing::store_matrix(store);
   ASSERT_EQ(got.rows(), expect.rows());
   ASSERT_EQ(got.cols(), expect.cols());
   EXPECT_EQ(got.data(), expect.data());
-  EXPECT_EQ(store.weights(), db.weights());
+  EXPECT_EQ(testing::store_weights(store), db.weights());
 }
 
 TEST_F(ColumnStoreTest, RowAccessRecoversKeysAndWeights) {
@@ -134,16 +135,13 @@ TEST_F(ColumnStoreTest, ForEachBlockStreamsInRowOrder) {
 TEST_F(ColumnStoreTest, AppendGrowsAndChangesSignature) {
   create_column_store(path_, catalog_, /*block_rows=*/8);
   append_column_store_rows(path_, make_database(catalog_, 10));
-  std::uint64_t first_signature = 0;
   {
     const ColumnStore store(path_, catalog_);
     EXPECT_EQ(store.num_rows(), 10u);
-    first_signature = store.structural_signature();
   }
   append_column_store_rows(path_, make_database(catalog_, 5, /*id_base=*/10));
   const ColumnStore store(path_, catalog_);
   EXPECT_EQ(store.num_rows(), 15u);
-  EXPECT_NE(store.structural_signature(), first_signature);
   EXPECT_EQ(store.row(12).scenario_id, 12u);
 }
 
@@ -185,21 +183,8 @@ TEST_F(ColumnStoreTest, BufferedFallbackMatchesMmap) {
   const ColumnStore ram(path_, catalog_, buffered);
   const ColumnStore mapped(path_, catalog_);
   EXPECT_FALSE(ram.mapped());
-  EXPECT_EQ(ram.to_matrix().data(), mapped.to_matrix().data());
-  EXPECT_EQ(ram.structural_signature(), mapped.structural_signature());
-}
-
-TEST_F(ColumnStoreTest, ToDatabaseRehydratesEverything) {
-  const MetricDatabase db = make_database(catalog_, 9);
-  create_column_store(path_, catalog_, /*block_rows=*/4);
-  append_column_store_rows(path_, db);
-  const ColumnStore store(path_, catalog_);
-  const MetricDatabase back = store.to_database();
-  ASSERT_EQ(back.num_rows(), db.num_rows());
-  for (std::size_t i = 0; i < db.num_rows(); ++i) {
-    EXPECT_EQ(back.row(i).scenario_key, db.row(i).scenario_key);
-    EXPECT_EQ(back.row(i).values, db.row(i).values);
-  }
+  EXPECT_EQ(testing::store_matrix(ram).data(),
+            testing::store_matrix(mapped).data());
 }
 
 }  // namespace

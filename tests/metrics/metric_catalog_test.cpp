@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 namespace flare::metrics {
@@ -14,8 +15,13 @@ TEST(MetricCatalog, StandardHasOverHundredMetrics) {
 
 TEST(MetricCatalog, TwoLevelCollection) {
   const MetricCatalog& cat = MetricCatalog::standard();
-  const std::size_t machine = cat.count_at_level(MetricLevel::kMachine);
-  const std::size_t hp = cat.count_at_level(MetricLevel::kHpJobs);
+  const auto count_at = [&](MetricLevel level) {
+    return std::count_if(
+        cat.metrics().begin(), cat.metrics().end(),
+        [level](const MetricInfo& m) { return m.level == level; });
+  };
+  const std::size_t machine = count_at(MetricLevel::kMachine);
+  const std::size_t hp = count_at(MetricLevel::kHpJobs);
   EXPECT_GT(hp, 40u);
   EXPECT_GT(machine, hp) << "machine level adds occupancy/power-only metrics";
   EXPECT_EQ(machine + hp, cat.size());

@@ -6,6 +6,7 @@
 
 #include "ml/kmeans.hpp"
 #include "stats/rng.hpp"
+#include "tests/util/matrix_matchers.hpp"
 #include "util/thread_pool.hpp"
 
 namespace flare::ml {
@@ -41,7 +42,7 @@ TEST(Sse, ZeroWhenPointsSitOnCentroids) {
   centroids(0, 0) = 1.0;
   centroids(1, 0) = 5.0;
   const std::vector<std::size_t> assignment = {0, 0, 1, 1};
-  EXPECT_DOUBLE_EQ(sum_squared_errors(data, centroids, assignment), 0.0);
+  EXPECT_DOUBLE_EQ(testing::sum_squared_errors(data, centroids, assignment), 0.0);
 }
 
 TEST(Sse, MatchesHandComputation) {
@@ -51,15 +52,16 @@ TEST(Sse, MatchesHandComputation) {
   Matrix centroid(1, 1);
   centroid(0, 0) = 1.0;
   const std::vector<std::size_t> assignment = {0, 0};
-  EXPECT_DOUBLE_EQ(sum_squared_errors(data, centroid, assignment), 1.0 + 9.0);
+  EXPECT_DOUBLE_EQ(testing::sum_squared_errors(data, centroid, assignment),
+                   1.0 + 9.0);
 }
 
 TEST(Sse, ValidatesInput) {
   const Matrix data(3, 2);
   const Matrix centroids(2, 2);
-  EXPECT_THROW((void)sum_squared_errors(data, centroids, {0, 1}),
+  EXPECT_THROW((void)testing::sum_squared_errors(data, centroids, {0, 1}),
                std::invalid_argument);
-  EXPECT_THROW((void)sum_squared_errors(data, centroids, {0, 1, 5}),
+  EXPECT_THROW((void)testing::sum_squared_errors(data, centroids, {0, 1, 5}),
                std::invalid_argument);
 }
 

@@ -59,8 +59,8 @@ TEST(CorrelationFilter, KeepsEarliestMemberOfDuplicateFamily) {
 
 TEST(CorrelationFilter, ApplySelectsSurvivingColumns) {
   const Matrix data = duplicate_heavy_data(150, 4);
-  CorrelationFilterResult report;
-  const Matrix filtered = CorrelationFilter(0.95).apply(data, &report);
+  const CorrelationFilterResult report = CorrelationFilter(0.95).fit(data);
+  const Matrix filtered = data.select_columns(report.kept_columns);
   EXPECT_EQ(filtered.cols(), 2u);
   EXPECT_EQ(filtered.rows(), data.rows());
   for (std::size_t r = 0; r < filtered.rows(); ++r) {

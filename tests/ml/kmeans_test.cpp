@@ -12,6 +12,7 @@
 #include "linalg/covariance.hpp"
 #include "ml/cluster_quality.hpp"
 #include "stats/rng.hpp"
+#include "tests/util/matrix_matchers.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -63,7 +64,8 @@ TEST(KMeans, SseConsistentWithAssignment) {
   const Matrix data = blobs(30, 3, 8.0, 2);
   const KMeansResult result = kmeans(data, params_with_k(3));
   EXPECT_NEAR(result.sse,
-              sum_squared_errors(data, result.centroids, result.assignment), 1e-9);
+              testing::sum_squared_errors(data, result.centroids, result.assignment),
+              1e-9);
 }
 
 TEST(KMeans, ClusterSizesSumToN) {

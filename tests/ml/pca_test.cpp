@@ -11,6 +11,7 @@
 #include "stats/rng.hpp"
 #include "tests/util/generators.hpp"
 #include "util/error.hpp"
+#include "tests/util/matrix_matchers.hpp"
 
 namespace flare::ml {
 namespace {
@@ -60,7 +61,7 @@ TEST(Pca, ScoresAreUncorrelated) {
   Pca pca;
   const Matrix data = anisotropic_data(2000, 4);
   pca.fit(data);
-  const Matrix scores = pca.transform(data);
+  const Matrix scores = pca.transform(data, pca.dimension());
   for (std::size_t i = 0; i < 3; ++i) {
     for (std::size_t j = i + 1; j < 3; ++j) {
       EXPECT_LT(std::abs(stats::pearson(scores.column(i), scores.column(j))), 0.05);
@@ -72,7 +73,7 @@ TEST(Pca, ScoreVarianceEqualsEigenvalue) {
   Pca pca;
   const Matrix data = anisotropic_data(3000, 5);
   pca.fit(data);
-  const Matrix scores = pca.transform(data);
+  const Matrix scores = pca.transform(data, pca.dimension());
   for (std::size_t c = 0; c < 3; ++c) {
     EXPECT_NEAR(stats::variance(scores.column(c)), pca.eigenvalues()[c],
                 0.02 * pca.eigenvalues()[0] + 1e-9);
@@ -83,8 +84,8 @@ TEST(Pca, FullInverseTransformIsLossless) {
   Pca pca;
   const Matrix data = anisotropic_data(100, 6);
   pca.fit(data);
-  const Matrix rebuilt = pca.inverse_transform(pca.transform(data));
-  EXPECT_LT(rebuilt.max_abs_diff(data), 1e-9);
+  const Matrix rebuilt = pca.inverse_transform(pca.transform(data, pca.dimension()));
+  EXPECT_LT(testing::max_abs_diff(rebuilt, data), 1e-9);
 }
 
 TEST(Pca, TruncatedReconstructionErrorMatchesDroppedVariance) {
@@ -117,7 +118,7 @@ TEST(Pca, ComponentsAreOrthonormal) {
   pca.fit(anisotropic_data(500, 9));
   const Matrix& v = pca.components();
   const Matrix vtv = v.transposed().multiply(v);
-  EXPECT_LT(vtv.max_abs_diff(Matrix::identity(3)), 1e-9);
+  EXPECT_LT(testing::max_abs_diff(vtv, Matrix::identity(3)), 1e-9);
 }
 
 TEST(Pca, DeterministicSignConvention) {
@@ -125,7 +126,7 @@ TEST(Pca, DeterministicSignConvention) {
   const Matrix data = anisotropic_data(300, 10);
   a.fit(data);
   b.fit(data);
-  EXPECT_LT(a.components().max_abs_diff(b.components()), 1e-15);
+  EXPECT_LT(testing::max_abs_diff(a.components(), b.components()), 1e-15);
   // Largest-|loading| entry of every component is positive.
   for (std::size_t j = 0; j < 3; ++j) {
     double best = 0.0;
@@ -152,10 +153,10 @@ TEST(Pca, RejectsFewerRowsThanColumns) {
 TEST(Pca, ValidatesPreconditions) {
   Pca pca;
   EXPECT_FALSE(pca.fitted());
-  EXPECT_THROW(pca.transform(Matrix(2, 2)), std::invalid_argument);
+  EXPECT_THROW(pca.transform(Matrix(2, 2), 1), std::invalid_argument);
   EXPECT_THROW(pca.fit(Matrix(1, 3)), std::invalid_argument);
   pca.fit(anisotropic_data(50, 11));
-  EXPECT_THROW(pca.transform(Matrix(5, 2)), std::invalid_argument);
+  EXPECT_THROW(pca.transform(Matrix(5, 2), 1), std::invalid_argument);
   EXPECT_THROW(pca.transform(anisotropic_data(5, 1), 0), std::invalid_argument);
   EXPECT_THROW(pca.transform(anisotropic_data(5, 1), 4), std::invalid_argument);
   EXPECT_THROW(pca.num_components_for(0.0), std::invalid_argument);
@@ -191,12 +192,12 @@ TEST_P(PcaDimensionSweep, InvariantsHoldAcrossDimensions) {
   pca.fit(data);
   // Orthonormal loadings, non-negative descending eigenvalues, ratios sum 1.
   const Matrix vtv = pca.components().transposed().multiply(pca.components());
-  EXPECT_LT(vtv.max_abs_diff(Matrix::identity(dim)), 1e-8);
+  EXPECT_LT(testing::max_abs_diff(vtv, Matrix::identity(dim)), 1e-8);
   double sum = 0.0;
   for (const double r : pca.explained_variance_ratio()) sum += r;
   EXPECT_NEAR(sum, 1.0, 1e-9);
-  const Matrix rebuilt = pca.inverse_transform(pca.transform(data));
-  EXPECT_LT(rebuilt.max_abs_diff(data), 1e-8);
+  const Matrix rebuilt = pca.inverse_transform(pca.transform(data, pca.dimension()));
+  EXPECT_LT(testing::max_abs_diff(rebuilt, data), 1e-8);
 }
 
 INSTANTIATE_TEST_SUITE_P(Dims, PcaDimensionSweep, ::testing::Values(1, 2, 4, 8, 16, 32));

@@ -47,17 +47,25 @@ Pca fitted_on(const Matrix& data) {
   return pca;
 }
 
+/// Folds `batch` into `tracked` with Welford moments fitted over exactly
+/// its rows.
+PcaUpdateStats fold(TrackedPca& tracked, const Matrix& batch) {
+  Standardizer moments;
+  moments.fit(batch);
+  return tracked.fold(batch, moments);
+}
+
 TEST(PcaUpdate, ValidatesArguments) {
   TrackedPca unfitted;
-  EXPECT_THROW(unfitted.fold(Matrix(3, 3)), std::invalid_argument);
+  EXPECT_THROW(fold(unfitted, Matrix(3, 3)), std::invalid_argument);
   EXPECT_THROW((void)unfitted.materialize(), std::invalid_argument);
   EXPECT_THROW(TrackedPca(Pca(), 1), std::invalid_argument);
   const Pca pca = fitted_on(anisotropic_data(50, 30));
   EXPECT_THROW(TrackedPca(pca, 0), std::invalid_argument);
   EXPECT_THROW(TrackedPca(pca, 4), std::invalid_argument);
   TrackedPca tracked(pca, 1);
-  EXPECT_THROW(tracked.fold(Matrix(0, 3)), std::invalid_argument);
-  EXPECT_THROW(tracked.fold(Matrix(5, 2)), std::invalid_argument);
+  EXPECT_THROW(fold(tracked, Matrix(0, 3)), std::invalid_argument);
+  EXPECT_THROW(fold(tracked, Matrix(5, 2)), std::invalid_argument);
   Standardizer wrong_rows;
   wrong_rows.fit(anisotropic_data(7, 31));
   EXPECT_THROW(tracked.fold(anisotropic_data(5, 31), wrong_rows),
@@ -74,7 +82,7 @@ TEST(PcaUpdate, SingleBatchMatchesFromScratchFit) {
   stats::Rng rng(32);
   const Matrix all = testing::low_rank_noise_matrix(rng, 160, 12, 4);
   TrackedPca tracked(fitted_on(testing::rows_slice(all, 0, 120)), 4);
-  tracked.fold(testing::rows_slice(all, 120, 160));
+  fold(tracked, testing::rows_slice(all, 120, 160));
   const Pca incremental = tracked.materialize();
   const Pca cold = fitted_on(all);
   EXPECT_EQ(tracked.observations(), 160u);
@@ -87,24 +95,6 @@ TEST(PcaUpdate, SingleBatchMatchesFromScratchFit) {
                                      cold.components(), 4, 1e-8));
 }
 
-TEST(PcaUpdate, AcceptsPrefittedWelfordMoments) {
-  stats::Rng rng(33);
-  const Matrix all = testing::low_rank_noise_matrix(rng, 90, 8, 3);
-  const Matrix batch = testing::rows_slice(all, 60, 90);
-  Standardizer moments;
-  moments.fit(batch);
-  const Pca fit = fitted_on(testing::rows_slice(all, 0, 60));
-  TrackedPca via_moments(fit, 3);
-  TrackedPca via_convenience(fit, 3);
-  via_moments.fold(batch, moments);
-  via_convenience.fold(batch);
-  // The convenience overload fits the same Welford moments internally.
-  EXPECT_EQ(via_moments.drift(), via_convenience.drift());
-  EXPECT_TRUE(testing::MatricesNear(via_moments.materialize().components(),
-                                    via_convenience.materialize().components(),
-                                    0.0));
-}
-
 TEST(PcaUpdate, DriftAnchorTracksSubspaceRotation) {
   stats::Rng rng(34);
   // One population, split into fit + batch, so both share factor directions.
@@ -113,10 +103,10 @@ TEST(PcaUpdate, DriftAnchorTracksSubspaceRotation) {
   EXPECT_EQ(tracked.anchor_components(), 2u);
   EXPECT_DOUBLE_EQ(tracked.drift(), 0.0);
   // Same-distribution batches barely rotate the basis...
-  tracked.fold(testing::rows_slice(all, 80, 120));
+  fold(tracked, testing::rows_slice(all, 80, 120));
   EXPECT_LT(tracked.drift(), 0.2);
   // ...while a batch drawn from fresh factor directions rotates it hard.
-  tracked.fold(testing::low_rank_noise_matrix(rng, 400, 6, 2, 1.0));
+  fold(tracked, testing::low_rank_noise_matrix(rng, 400, 6, 2, 1.0));
   EXPECT_GT(tracked.drift(), 0.2);
   EXPECT_LE(tracked.drift(), 1.0);
   // Re-anchoring — tracking anew from the materialised basis — resets the
@@ -140,7 +130,7 @@ TEST(PcaUpdate, BatchThatCannotRotateTheBasisReportsNoDrift) {
       batch(0, c) = pca.mean()[c] + axis;
       batch(1, c) = pca.mean()[c] - axis;
     }
-    tracked.fold(batch);
+    fold(tracked, batch);
     EXPECT_LE(tracked.drift(), 1e-12) << "seed " << seed;
   }
 }
@@ -157,9 +147,10 @@ TEST(PcaUpdateProperty, DriftMatchesTheCosineFormulaAwayFromZero) {
     // Half the batches come from the fitted population, half from fresh
     // factor directions that rotate the basis hard.
     const std::size_t batch_rows = 1 + rng.uniform_int(0, 3 * d - 1);
-    tracked.fold(rng.uniform() < 0.5
-                     ? testing::rows_slice(all, 3 * d, 3 * d + batch_rows)
-                     : testing::low_rank_noise_matrix(rng, batch_rows, d, k + 1, 1.0));
+    fold(tracked,
+         rng.uniform() < 0.5
+             ? testing::rows_slice(all, 3 * d, 3 * d + batch_rows)
+             : testing::low_rank_noise_matrix(rng, batch_rows, d, k + 1, 1.0));
     const double cosine_form = testing::subspace_angle_sin(
         pca.components(), tracked.materialize().components(), k);
     if (cosine_form >= 1e-3) {
@@ -179,8 +170,8 @@ TEST(PcaUpdateProperty, MultiBatchUpdateMatchesFromScratch) {
 
     TrackedPca tracked(fitted_on(testing::rows_slice(all, 0, n0)), rank);
     for (std::size_t b = 0; b < 3; ++b) {
-      const PcaUpdateStats stats = tracked.fold(
-          testing::rows_slice(all, n0 + b * batch, n0 + (b + 1) * batch));
+      const PcaUpdateStats stats = fold(
+          tracked, testing::rows_slice(all, n0 + b * batch, n0 + (b + 1) * batch));
       EXPECT_EQ(stats.batch_rows, batch);
       EXPECT_EQ(stats.total_rows, n0 + (b + 1) * batch);
       EXPECT_EQ(stats.subspace_drift, tracked.drift());
@@ -209,8 +200,8 @@ TEST(PcaUpdateProperty, UpdatedBasisStaysOrthonormalAndSorted) {
     const Matrix all =
         testing::low_rank_noise_matrix(rng, 6 * d, d, std::max<std::size_t>(2, d / 3));
     TrackedPca tracked(fitted_on(testing::rows_slice(all, 0, 4 * d)), 1);
-    tracked.fold(testing::rows_slice(all, 4 * d, 5 * d));
-    tracked.fold(testing::rows_slice(all, 5 * d, 6 * d));
+    fold(tracked, testing::rows_slice(all, 4 * d, 5 * d));
+    fold(tracked, testing::rows_slice(all, 5 * d, 6 * d));
     const Pca pca = tracked.materialize();
 
     const Matrix vtv = pca.components().transposed().multiply(pca.components());
@@ -251,7 +242,7 @@ TEST(PcaUpdateProperty, FoldMatchesTheFullQlOracle) {
       const Matrix batch =
           rng.uniform() < 0.5 ? testing::low_rank_noise_matrix(rng, rows, d, rank)
                               : testing::low_rank_noise_matrix(rng, rows, d, rank, 1.0);
-      tracked.fold(batch);
+      fold(tracked, batch);
       oracle.fold(batch);
       EXPECT_NEAR(tracked.drift(), oracle.drift(), 1e-9) << "batch " << b;
     }

@@ -48,7 +48,7 @@ TEST(Whitener, InverseTransformRoundTrips) {
   Whitener w;
   const Matrix data = scaled_data(100, 3);
   const Matrix white = w.fit_transform(data);
-  EXPECT_LT(w.inverse_transform(white).max_abs_diff(data), 1e-9);
+  EXPECT_LT(testing::max_abs_diff(w.inverse_transform(white), data), 1e-9);
 }
 
 TEST(Whitener, AfterPcaScoresAreWhite) {
@@ -61,7 +61,7 @@ TEST(Whitener, AfterPcaScoresAreWhite) {
   Pca pca;
   pca.fit(data);
   Whitener w;
-  const Matrix white = w.fit_transform(pca.transform(data));
+  const Matrix white = w.fit_transform(pca.transform(data, pca.dimension()));
   for (std::size_t c = 0; c < 4; ++c) {
     EXPECT_NEAR(stats::variance(white.column(c)), 1.0, 1e-9);
   }

@@ -132,10 +132,6 @@ TEST_F(ReplayerLoopTest, AllInvalidReadingsExhaustRetriesAndFail) {
   // Backoffs between failures put the simulated clock past pure run time.
   EXPECT_GT(m.simulated_seconds,
             replayer.policy().nominal_seconds * static_cast<double>(m.attempts));
-  // The convenience wrapper surfaces the failure loudly.
-  EXPECT_THROW(
-      (void)replayer.replay_scenario_impact(scenario_with(1), feature_dvfs_cap()),
-      ReplayError);
 }
 
 TEST_F(ReplayerLoopTest, HangsAreKilledAtTheDeadline) {

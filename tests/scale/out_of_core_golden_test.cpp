@@ -3,7 +3,12 @@
 // analyze_out_of_core's output for this store before the shared dense
 // kernels (DESIGN.md §7) replaced the pass-1 comoment loop and the pass-2
 // projection loop. Any change to those kernels that moves a single bit of
-// the moments, the PCA, the cluster space or the fingerprints fails here.
+// the moments, the PCA, the cluster space, the assignment, the
+// representatives or the weights fails here. The fingerprints are left out:
+// a streamed result carries zero (never-reusable) fingerprints, which
+// OutOfCoreTest.FingerprintsNeverSpliceWithInRamLineage pins. The constant
+// below hashes every other field and was captured with the same code as the
+// earlier constant that also hashed the fingerprints.
 //
 // The store has 12 621 rows (above the 8192-row minibatch threshold, so
 // kAuto takes the coreset path) and 61 metrics (not a multiple of the
@@ -98,7 +103,6 @@ std::uint64_t hash_result(const AnalysisResult& a) {
       a.clustering.assignment.size() * sizeof(std::size_t));
   mix(a.representatives.data(), a.representatives.size() * sizeof(std::size_t));
   mix_doubles(a.cluster_weights);
-  mix(&a.fingerprints, sizeof(a.fingerprints));
   return h;
 }
 
@@ -121,7 +125,7 @@ TEST(OutOfCoreGolden, StreamedAnalysisIsBitIdenticalToPreKernelCapture) {
   std::remove(path.c_str());
 
   ASSERT_EQ(serial.constant_columns, std::vector<std::size_t>{0});
-  EXPECT_EQ(hash_result(serial), 0x8d14993f4b8add1eull);
+  EXPECT_EQ(hash_result(serial), 0x0c988a8c10e2467cull);
   EXPECT_EQ(hash_result(parallel), hash_result(serial));
 }
 

@@ -139,8 +139,6 @@ TEST(ServeProtocol, ErrorPayloadFoldsNewlinesIntoOneLine) {
 }
 
 TEST(ServeProtocol, EnumNamesAreStable) {
-  EXPECT_EQ(to_string(RequestType::kIngest), "ingest");
-  EXPECT_EQ(to_string(RequestType::kShutdown), "shutdown");
   EXPECT_EQ(to_string(Outcome::kOk), "ok");
   EXPECT_EQ(to_string(Outcome::kShed), "shed");
   EXPECT_EQ(to_string(Outcome::kFailed), "failed");

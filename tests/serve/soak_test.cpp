@@ -20,6 +20,7 @@
 #include "serve/daemon.hpp"
 #include "serve/state.hpp"
 #include "tests/serve/serve_env.hpp"
+#include "tests/util/client_faults.hpp"
 #include "trace/scenario_io.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -86,13 +87,12 @@ TEST(ServeSoak, ConcurrentFaultyClientsAreFullyAccountedAndReplayExactly) {
   DaemonRunner runner(config, base_set());
 
   // Client-side fault plan: seeded, deterministic, ~10% disruptive.
-  ServiceFaultOptions fault_options;
-  fault_options.enabled = true;
+  flare::testing::ClientFaultOptions fault_options;
   fault_options.stall_rate = 0.05;
   fault_options.malformed_rate = 0.05;
   fault_options.burst_rate = 0.10;
   fault_options.seed = 20260809;
-  const ServiceFaultModel faults(fault_options);
+  const flare::testing::ClientFaultModel faults(fault_options);
 
   Observed observed;
   std::atomic<bool> ingest_done{false};

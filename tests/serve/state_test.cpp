@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "tests/serve/serve_env.hpp"
+#include "tests/util/client_faults.hpp"
 #include "trace/journal.hpp"
 #include "trace/scenario_io.hpp"
 #include "util/error.hpp"
@@ -162,13 +163,12 @@ TEST(ServiceFaultModel, KillDecisionIsAOneShotPointEvent) {
 }
 
 TEST(ServiceFaultModel, ClientFaultStreamIsDeterministicAndRatePartitioned) {
-  ServiceFaultOptions options;
-  options.enabled = true;
+  flare::testing::ClientFaultOptions options;
   options.stall_rate = 0.3;
   options.malformed_rate = 0.3;
   options.burst_rate = 0.5;
-  const ServiceFaultModel a(options);
-  const ServiceFaultModel b(options);
+  const flare::testing::ClientFaultModel a(options);
+  const flare::testing::ClientFaultModel b(options);
   std::size_t stalls = 0, malformed = 0, bursts = 0;
   for (std::uint64_t i = 0; i < 400; ++i) {
     const ClientFaultKind kind = a.client_fault("client-7", i);
@@ -186,11 +186,12 @@ TEST(ServiceFaultModel, ClientFaultStreamIsDeterministicAndRatePartitioned) {
   EXPECT_GT(bursts, 120u);
   EXPECT_LT(bursts, 280u);
 
-  // Disabled model: no faults, ever.
+  // Disabled models: no faults, ever.
+  const flare::testing::ClientFaultModel quiet;
+  EXPECT_EQ(quiet.client_fault("client-7", 3), ClientFaultKind::kNone);
+  EXPECT_FALSE(quiet.burst("client-7", 3));
   const ServiceFaultModel off;
   EXPECT_FALSE(off.active());
-  EXPECT_EQ(off.client_fault("client-7", 3), ClientFaultKind::kNone);
-  EXPECT_FALSE(off.burst("client-7", 3));
   EXPECT_FALSE(off.kill_now(KillPoint::kAfterCommit, 0));
 }
 

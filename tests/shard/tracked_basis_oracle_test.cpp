@@ -41,7 +41,7 @@ linalg::Matrix folded_rows(const FlarePipeline& shard, const IngestReport& repor
     rows.push_back(std::move(row));
   }
   if (rows.empty()) return linalg::Matrix();
-  return frame.transform(linalg::Matrix::from_rows(rows));
+  return frame.transform(flare::testing::from_rows(rows));
 }
 
 OracleTally stream_against_oracle(PcaUpdatePolicy policy) {

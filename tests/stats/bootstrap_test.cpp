@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "stats/descriptive.hpp"
+#include "stats/rng.hpp"
 
 namespace flare::stats {
 namespace {
@@ -17,41 +18,6 @@ std::vector<double> normal_sample(std::size_t n, double mu, double sigma,
   v.reserve(n);
   for (std::size_t i = 0; i < n; ++i) v.push_back(rng.normal(mu, sigma));
   return v;
-}
-
-TEST(BootstrapCI, ContainsTrueMeanForWellBehavedData) {
-  const auto data = normal_sample(500, 10.0, 2.0, 1);
-  Rng rng(2);
-  const ConfidenceInterval ci = bootstrap_mean_ci(data, 0.95, 2000, rng);
-  EXPECT_TRUE(ci.contains(10.0));
-  EXPECT_LT(ci.lower, ci.upper);
-  EXPECT_NEAR(ci.point, mean(data), 1e-12);
-}
-
-TEST(BootstrapCI, WidthShrinksWithSampleSize) {
-  Rng rng(3);
-  const auto small = normal_sample(50, 0.0, 1.0, 4);
-  const auto large = normal_sample(5000, 0.0, 1.0, 5);
-  const auto ci_small = bootstrap_mean_ci(small, 0.95, 1000, rng);
-  const auto ci_large = bootstrap_mean_ci(large, 0.95, 1000, rng);
-  EXPECT_LT(ci_large.width(), ci_small.width());
-}
-
-TEST(BootstrapCI, DegenerateConstantData) {
-  const std::vector<double> data(20, 7.0);
-  Rng rng(6);
-  const auto ci = bootstrap_mean_ci(data, 0.95, 200, rng);
-  EXPECT_DOUBLE_EQ(ci.lower, 7.0);
-  EXPECT_DOUBLE_EQ(ci.upper, 7.0);
-}
-
-TEST(BootstrapCI, ValidatesArguments) {
-  Rng rng(1);
-  const std::vector<double> data = {1.0, 2.0};
-  EXPECT_THROW(bootstrap_mean_ci({}, 0.95, 100, rng), std::invalid_argument);
-  EXPECT_THROW(bootstrap_mean_ci(data, 0.0, 100, rng), std::invalid_argument);
-  EXPECT_THROW(bootstrap_mean_ci(data, 1.0, 100, rng), std::invalid_argument);
-  EXPECT_THROW(bootstrap_mean_ci(data, 0.95, 0, rng), std::invalid_argument);
 }
 
 TEST(NormalCI, MatchesClassicFormula) {

@@ -25,59 +25,5 @@ TEST(BoxSummary, ThrowsOnEmpty) {
   EXPECT_THROW(box_summary(std::vector<double>{}), std::invalid_argument);
 }
 
-TEST(Histogram, CountsSumToInputSize) {
-  const std::vector<double> v = {0.0, 0.1, 0.5, 0.9, 1.0, 0.5, 0.4};
-  const Histogram h = histogram(v, 4);
-  EXPECT_EQ(h.total(), v.size());
-  EXPECT_EQ(h.counts.size(), 4u);
-}
-
-TEST(Histogram, MaxValueLandsInLastBin) {
-  const std::vector<double> v = {0.0, 1.0};
-  const Histogram h = histogram(v, 10);
-  EXPECT_EQ(h.counts.front(), 1u);
-  EXPECT_EQ(h.counts.back(), 1u);
-}
-
-TEST(Histogram, DegenerateConstantInput) {
-  const std::vector<double> v = {5.0, 5.0, 5.0};
-  const Histogram h = histogram(v, 3);
-  EXPECT_EQ(h.counts[0], 3u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, RejectsBadArguments) {
-  EXPECT_THROW(histogram(std::vector<double>{}, 3), std::invalid_argument);
-  EXPECT_THROW(histogram(std::vector<double>{1.0}, 0), std::invalid_argument);
-}
-
-TEST(Violin, DensitiesNormalisedToPeakOne) {
-  std::vector<double> v;
-  for (int i = 0; i < 100; ++i) v.push_back(static_cast<double>(i % 10));
-  const ViolinSummary violin = violin_summary(v, 10);
-  double peak = 0.0;
-  for (const double d : violin.densities) {
-    EXPECT_GE(d, 0.0);
-    EXPECT_LE(d, 1.0);
-    peak = std::max(peak, d);
-  }
-  EXPECT_DOUBLE_EQ(peak, 1.0);
-  EXPECT_EQ(violin.bin_centers.size(), violin.densities.size());
-}
-
-TEST(Violin, BinCentersAreAscending) {
-  const std::vector<double> v = {1, 2, 3, 4, 5, 6};
-  const ViolinSummary violin = violin_summary(v, 5);
-  for (std::size_t i = 1; i < violin.bin_centers.size(); ++i) {
-    EXPECT_GT(violin.bin_centers[i], violin.bin_centers[i - 1]);
-  }
-}
-
-TEST(Violin, CarriesBoxSummary) {
-  const std::vector<double> v = {1, 2, 3};
-  const ViolinSummary violin = violin_summary(v, 2);
-  EXPECT_DOUBLE_EQ(violin.box.median, 2.0);
-}
-
 }  // namespace
 }  // namespace flare::stats

@@ -60,12 +60,14 @@ TEST(ReadLines, ReadsNonEmptyLines) {
     std::ofstream out(path);
     out << "one\n\ntwo\r\nthree";
   }
-  EXPECT_EQ(read_lines(path), (std::vector<std::string>{"one", "two\r", "three"}));
+  EXPECT_EQ(read_csv_content(path).lines,
+            (std::vector<std::string>{"one", "two\r", "three"}));
   std::remove(path.c_str());
 }
 
 TEST(ReadLines, ThrowsOnMissingFile) {
-  EXPECT_THROW((void)read_lines("/nonexistent/definitely/missing.csv"), ParseError);
+  EXPECT_THROW((void)read_csv_content("/nonexistent/definitely/missing.csv"),
+               ParseError);
 }
 
 }  // namespace

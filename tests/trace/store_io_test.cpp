@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "tests/util/store_readers.hpp"
 #include "trace/journal.hpp"
 #include "trace/metric_io.hpp"
 #include "util/error.hpp"
@@ -67,13 +68,17 @@ TEST_F(StoreIoTest, SaveRoundTrips) {
   save_column_store(db, store_path_, /*block_rows=*/4);
   const metrics::ColumnStore store(store_path_, catalog_);
   EXPECT_EQ(store.num_rows(), 13u);
-  EXPECT_EQ(store.to_matrix().data(), db.to_matrix().data());
+  EXPECT_EQ(testing::store_matrix(store).data(), db.to_matrix().data());
 }
 
 TEST_F(StoreIoTest, JournaledAppendCommits) {
   save_column_store(make_database(catalog_, 6), store_path_, 4);
-  append_column_store(make_database(catalog_, 3, 6), store_path_,
-                      /*journaled=*/true);
+  {
+    AppendJournal journal(store_path_);
+    metrics::append_column_store_rows(store_path_,
+                                      make_database(catalog_, 3, 6));
+    journal.commit();
+  }
   // A committed append leaves no journal behind and all rows readable.
   const JournalRecovery recovery = recover_append(store_path_);
   EXPECT_FALSE(recovery.recovered);
@@ -117,8 +122,8 @@ TEST_F(StoreIoTest, CsvConversionMatchesCsvLoad) {
   ASSERT_EQ(store.num_rows(), from_csv.num_rows());
   // The store must reproduce exactly what the CSV loader produced (the CSV
   // text round trip itself is lossless per metric_io_test).
-  EXPECT_EQ(store.to_matrix().data(), from_csv.to_matrix().data());
-  EXPECT_EQ(store.weights(), from_csv.weights());
+  EXPECT_EQ(testing::store_matrix(store).data(), from_csv.to_matrix().data());
+  EXPECT_EQ(testing::store_weights(store), from_csv.weights());
   for (std::size_t i = 0; i < store.num_rows(); ++i) {
     EXPECT_EQ(store.row(i).scenario_key, from_csv.row(i).scenario_key);
   }

@@ -12,6 +12,9 @@
 //                          (max principal angle via the Grassmann metric)
 //   subspace_sin_bound     ‖residual‖_F ≥ that angle's sine, accurate down
 //                          to rounding where the cosine form stalls near 1e-8
+//
+// plus the small constructors and reference computations the tests compare
+// against: from_rows, max_abs_diff, matvec and sum_squared_errors.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -19,12 +22,62 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "linalg/eigen.hpp"
 #include "linalg/matrix.hpp"
 
 namespace flare::testing {
+
+/// Builds a matrix from a list of equally sized rows.
+inline linalg::Matrix from_rows(const std::vector<std::vector<double>>& rows) {
+  if (rows.empty()) throw std::invalid_argument("from_rows: no rows");
+  linalg::Matrix m(rows.size(), rows.front().size());
+  for (std::size_t r = 0; r < rows.size(); ++r) m.set_row(r, rows[r]);
+  return m;
+}
+
+/// Max |a_ij - b_ij|; the matrices must have equal shape.
+inline double max_abs_diff(const linalg::Matrix& a, const linalg::Matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) {
+    throw std::invalid_argument("max_abs_diff: shape mismatch");
+  }
+  double worst = 0.0;
+  for (std::size_t i = 0; i < a.data().size(); ++i) {
+    worst = std::max(worst, std::abs(a.data()[i] - b.data()[i]));
+  }
+  return worst;
+}
+
+/// Sum over points of squared distance to the centroid of their cluster.
+inline double sum_squared_errors(const linalg::Matrix& data,
+                                 const linalg::Matrix& centroids,
+                                 const std::vector<std::size_t>& assignment) {
+  if (assignment.size() != data.rows()) {
+    throw std::invalid_argument("sum_squared_errors: assignment size");
+  }
+  double sse = 0.0;
+  for (std::size_t i = 0; i < data.rows(); ++i) {
+    if (assignment[i] >= centroids.rows()) {
+      throw std::invalid_argument("sum_squared_errors: bad cluster id");
+    }
+    sse += linalg::squared_distance(data.row(i), centroids.row(assignment[i]));
+  }
+  return sse;
+}
+
+/// Matrix–vector product m·x; x.size() must equal m.cols().
+inline std::vector<double> matvec(const linalg::Matrix& m,
+                                  std::span<const double> x) {
+  if (x.size() != m.cols()) throw std::invalid_argument("matvec: size mismatch");
+  std::vector<double> out(m.rows(), 0.0);
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    for (std::size_t c = 0; c < m.cols(); ++c) out[r] += m(r, c) * x[c];
+  }
+  return out;
+}
 
 inline ::testing::AssertionResult MatricesNear(const linalg::Matrix& actual,
                                                const linalg::Matrix& expected,

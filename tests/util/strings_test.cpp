@@ -24,17 +24,6 @@ TEST(Split, EmptyInputYieldsOneEmptyField) {
   EXPECT_EQ(split("", ','), (std::vector<std::string>{""}));
 }
 
-TEST(Join, JoinsWithSeparator) {
-  EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
-}
-
-TEST(Join, EmptyVectorYieldsEmptyString) { EXPECT_EQ(join({}, ","), ""); }
-
-TEST(Join, RoundTripsWithSplit) {
-  const std::vector<std::string> parts = {"x", "", "zz"};
-  EXPECT_EQ(split(join(parts, "|"), '|'), parts);
-}
-
 TEST(Trim, RemovesSurroundingWhitespace) {
   EXPECT_EQ(trim("  hello \t\n"), "hello");
   EXPECT_EQ(trim("hello"), "hello");
@@ -56,8 +45,6 @@ TEST(StartsWith, MatchesPrefix) {
   EXPECT_TRUE(starts_with("abc", ""));
   EXPECT_FALSE(starts_with("a", "ab"));
 }
-
-TEST(ToLower, LowersAscii) { EXPECT_EQ(to_lower("AbC-123"), "abc-123"); }
 
 TEST(ParseDouble, ParsesValidNumbers) {
   EXPECT_DOUBLE_EQ(parse_double("3.5"), 3.5);
