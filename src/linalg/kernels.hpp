@@ -6,6 +6,12 @@
 // tests/linalg/kernels_test.cpp). The speed comes from memory layout and
 // register tiling across independent slots, never from reassociating a sum,
 // so results are bit for bit those of the naive loops, for any thread count.
+//
+// Each kernel has two variants, chosen once per process from the CPU: the
+// baseline x86-64 (SSE2) code, and on a CPU whose OS saves the AVX-512F
+// state, zmm code with 8-wide tiles. Both keep every slot's sequence of one
+// multiply then one add; `-ffp-contract=off` on every src/ library stops
+// the compiler from fusing that pair into an FMA, which would round once.
 #pragma once
 
 #include <cstddef>
@@ -19,10 +25,10 @@ namespace flare::linalg {
 ///   S(i, j) = Σ_r (data(r, i) − means[i]) · (data(r, j) − means[j]),
 /// each slot summed over rows in ascending order starting from 0.0. The
 /// result is symmetric (the lower triangle mirrors the upper). Rows are
-/// centred once, 256 at a time, into a zero-padded panel of 4-column groups;
-/// the upper triangle accumulates in 4 × 4 register tiles while each chunk
-/// streams past. Tasks own whole tile-rows of the output, so `pool` changes
-/// no bit.
+/// centred once, 256 at a time, into a zero-padded panel of 4-column groups
+/// (8-column with AVX-512F); the upper triangle accumulates in 4 × 4 SSE2
+/// register tiles (8 × 8 in 8 zmm registers) while each chunk streams past.
+/// Tasks own whole tile-rows of the output, so `pool` changes no bit.
 /// Callers: covariance_matrix (means = column means), the out-of-core
 /// comoment fold (block means), TrackedPca::fold's Gram matrix and the drift
 /// residual's RᵀR (means = 0).
@@ -34,8 +40,10 @@ namespace flare::linalg {
 ///   out(r, j) = Σ_k (a(r, k) − centre[k]) · b(k, j)   for j < cols,
 /// computed as out(r, :) += x(r, k) · b(k, :) with k ascending, so each slot
 /// sums over k in order from 0.0 while the inner loop over j is contiguous
-/// and vectorises. An empty `centre` means no centring. Tasks own output
-/// rows, so `pool` changes no bit.
+/// and vectorises. With AVX-512F, blocks of 4 rows × 8 columns accumulate in
+/// one zmm register per row over k ascending, and the last `cols % 8`
+/// columns run the baseline loop. An empty `centre` means no centring.
+/// Tasks own output rows, so `pool` changes no bit.
 /// Callers: Matrix::multiply (no centre), Pca::transform (centre = PCA
 /// mean, cols = kept components) and TrackedPca::fold (centre = batch
 /// mean).
@@ -43,5 +51,26 @@ namespace flare::linalg {
                                       std::span<const double> centre,
                                       const Matrix& b, std::size_t cols,
                                       util::ThreadPool* pool = nullptr);
+
+namespace detail {
+
+/// The variants behind the two kernels, each callable directly so tests can
+/// check both against the naive loops on one host. The `_avx512f` ones throw
+/// std::invalid_argument unless avx512f_available().
+[[nodiscard]] bool avx512f_available();
+[[nodiscard]] Matrix centered_cross_products_baseline(
+    const Matrix& data, std::span<const double> means,
+    util::ThreadPool* pool = nullptr);
+[[nodiscard]] Matrix centered_cross_products_avx512f(
+    const Matrix& data, std::span<const double> means,
+    util::ThreadPool* pool = nullptr);
+[[nodiscard]] Matrix centered_product_baseline(
+    const Matrix& a, std::span<const double> centre, const Matrix& b,
+    std::size_t cols, util::ThreadPool* pool = nullptr);
+[[nodiscard]] Matrix centered_product_avx512f(
+    const Matrix& a, std::span<const double> centre, const Matrix& b,
+    std::size_t cols, util::ThreadPool* pool = nullptr);
+
+}  // namespace detail
 
 }  // namespace flare::linalg

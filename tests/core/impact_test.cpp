@@ -73,15 +73,16 @@ TEST_F(ImpactModelTest, BaselineFeatureHasZeroImpact) {
 TEST_F(ImpactModelTest, ScenarioImpactRequiresHpJobs) {
   dcsim::JobMix lp_only;
   lp_only.add(dcsim::JobType::kLpSjeng, 2);
-  EXPECT_THROW(impact_.scenario_impact_pct(lp_only, feature_dvfs_cap(),
-                                           MeasurementContext::kTestbed),
+  EXPECT_THROW((void)impact_.scenario_impact_pct(
+                   lp_only, feature_dvfs_cap(), MeasurementContext::kTestbed),
                std::invalid_argument);
 }
 
 TEST_F(ImpactModelTest, JobImpactRequiresJobInMix) {
   EXPECT_THROW(
-      impact_.job_impact_pct(dcsim::JobType::kMediaStreaming, busy_mix(),
-                             feature_dvfs_cap(), MeasurementContext::kTestbed),
+      (void)impact_.job_impact_pct(dcsim::JobType::kMediaStreaming,
+                                   busy_mix(), feature_dvfs_cap(),
+                                   MeasurementContext::kTestbed),
       std::invalid_argument);
 }
 

@@ -14,9 +14,9 @@ TEST(FlarePipeline, RequiresFitBeforeUse) {
   FlarePipeline pipeline(testing::small_flare_config());
   EXPECT_FALSE(pipeline.fitted());
   EXPECT_THROW(pipeline.evaluate(feature_dvfs_cap()), std::invalid_argument);
-  EXPECT_THROW(pipeline.database(), std::invalid_argument);
-  EXPECT_THROW(pipeline.analysis(), std::invalid_argument);
-  EXPECT_THROW(pipeline.scenario_set(), std::invalid_argument);
+  EXPECT_THROW((void)pipeline.database(), std::invalid_argument);
+  EXPECT_THROW((void)pipeline.analysis(), std::invalid_argument);
+  EXPECT_THROW((void)pipeline.scenario_set(), std::invalid_argument);
   EXPECT_THROW(pipeline.apply_scheduler_change({}), std::invalid_argument);
 }
 
@@ -44,9 +44,9 @@ TEST(FlarePipeline, CostLedgerCountsDistinctReplays) {
   FlarePipeline pipeline(config);
   pipeline.fit(testing::small_scenario_set());
   EXPECT_EQ(pipeline.scenario_replays(), 0u);
-  pipeline.evaluate(feature_dvfs_cap());
+  (void)pipeline.evaluate(feature_dvfs_cap());
   EXPECT_EQ(pipeline.scenario_replays(), pipeline.analysis().chosen_k);
-  pipeline.evaluate(feature_dvfs_cap());  // cached pairs
+  (void)pipeline.evaluate(feature_dvfs_cap());  // cached pairs
   EXPECT_EQ(pipeline.scenario_replays(), pipeline.analysis().chosen_k);
 }
 

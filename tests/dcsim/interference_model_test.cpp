@@ -186,7 +186,7 @@ TEST_F(InterferenceModelTest, MachineAggregatesAreConsistent) {
 TEST_F(InterferenceModelTest, JobLookup) {
   const auto perf = model_.evaluate(machine_, mix_of({{JobType::kDataCaching, 1}}));
   EXPECT_EQ(perf.job(JobType::kDataCaching).type, JobType::kDataCaching);
-  EXPECT_THROW(perf.job(JobType::kLpMcf), std::invalid_argument);
+  EXPECT_THROW((void)perf.job(JobType::kLpMcf), std::invalid_argument);
 }
 
 TEST_F(InterferenceModelTest, InherentMipsMatchesSoloEvaluation) {

@@ -66,12 +66,12 @@ TEST(JobMix, FromKeyEmptyString) {
 }
 
 TEST(JobMix, FromKeyRejectsMalformed) {
-  EXPECT_THROW(JobMix::from_key("DA"), ParseError);
-  EXPECT_THROW(JobMix::from_key("DA:x"), ParseError);
-  EXPECT_THROW(JobMix::from_key("XX:1"), ParseError);
-  EXPECT_THROW(JobMix::from_key("DA:0"), ParseError);
-  EXPECT_THROW(JobMix::from_key("DA:-1"), ParseError);
-  EXPECT_THROW(JobMix::from_key("DA:1:2"), ParseError);
+  EXPECT_THROW((void)JobMix::from_key("DA"), ParseError);
+  EXPECT_THROW((void)JobMix::from_key("DA:x"), ParseError);
+  EXPECT_THROW((void)JobMix::from_key("XX:1"), ParseError);
+  EXPECT_THROW((void)JobMix::from_key("DA:0"), ParseError);
+  EXPECT_THROW((void)JobMix::from_key("DA:-1"), ParseError);
+  EXPECT_THROW((void)JobMix::from_key("DA:1:2"), ParseError);
 }
 
 TEST(ScenarioSet, WeightsNormalise) {

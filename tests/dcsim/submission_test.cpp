@@ -71,8 +71,8 @@ TEST(Submission, DifferentSeedsGiveDifferentLandscapes) {
 
 TEST(Submission, StatsAreFilled) {
   SubmissionStats stats;
-  generate_scenario_set(quick_config(), default_machine(),
-                        default_job_catalog(), &stats);
+  (void)generate_scenario_set(quick_config(), default_machine(),
+                              default_job_catalog(), &stats);
   EXPECT_GT(stats.submissions, 0u);
   EXPECT_GT(stats.placements, 0u);
   EXPECT_GT(stats.simulated_hours, 0.0);

@@ -2,10 +2,13 @@
 //
 // Each kernel is checked against the naive loop it replaced — kept here,
 // and only here, as the oracle — bit for bit, over random shapes (rows 1 to
-// 3000, columns 1 to 130, so most widths are not a multiple of the 4-wide
-// tile), over values that are ±0.0, negative, tiny (1e-300: products
+// 3000, columns 1 to 130, so most widths are not a multiple of the 4- or
+// 8-wide tile), over values that are ±0.0, negative, tiny (1e-300: products
 // underflow), huge (1e300: products overflow) or of mixed magnitude, and on a
-// 4-thread pool against inline execution.
+// 4-thread pool against inline execution. The public kernels run whichever
+// variant the CPU selects; the KernelVariants suite drives the baseline and
+// the AVX-512F variant directly over every tile and chunk edge, and skips the
+// AVX-512F one on a CPU without it.
 //
 // Labelled `property` (ctest -L property); the nightly job re-runs it at 10×
 // trials under a fresh FLARE_PROPERTY_BASE_SEED.
@@ -16,7 +19,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <ostream>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "linalg/covariance.hpp"
@@ -267,6 +272,149 @@ TEST(CenteredProductKernel, MatchesNaiveMultiplyAndProjection) {
                          "projection on 4 threads");
   });
 }
+
+// ---- Both variants, over the tile and chunk edges ----
+
+struct Variant {
+  const char* name;
+  bool available;
+  Matrix (*cross_products)(const Matrix&, std::span<const double>,
+                           util::ThreadPool*);
+  Matrix (*product)(const Matrix&, std::span<const double>, const Matrix&,
+                    std::size_t, util::ThreadPool*);
+};
+
+void PrintTo(const Variant& v, std::ostream* os) { *os << v.name; }
+
+const Variant kVariants[] = {
+    {"baseline", true, detail::centered_cross_products_baseline,
+     detail::centered_product_baseline},
+    {"avx512f", detail::avx512f_available(),
+     detail::centered_cross_products_avx512f, detail::centered_product_avx512f},
+};
+
+class KernelVariant : public ::testing::TestWithParam<Variant> {
+ protected:
+  void SetUp() override {
+    if (!GetParam().available) {
+      GTEST_SKIP() << "this CPU lacks AVX-512F, or its OS does not save the "
+                      "zmm state, so the variant never runs here";
+    }
+  }
+};
+
+// Widths either side of the 4- and 8-column tile edges and of a padded
+// 122-column panel; row counts either side of the 256-row chunk and of a
+// 2048-row block.
+std::vector<std::size_t> edge_widths() {
+  std::vector<std::size_t> widths;
+  for (std::size_t w = 1; w <= 17; ++w) widths.push_back(w);
+  for (const std::size_t w : {63u, 64u, 65u, 121u, 122u, 123u}) {
+    widths.push_back(w);
+  }
+  return widths;
+}
+
+std::vector<std::size_t> edge_rows() {
+  std::vector<std::size_t> rows;
+  for (std::size_t r = 1; r <= 9; ++r) rows.push_back(r);
+  for (const std::size_t r : {255u, 256u, 257u, 2047u, 2048u, 2049u}) {
+    rows.push_back(r);
+  }
+  return rows;
+}
+
+TEST_P(KernelVariant, CrossProductsMatchNaiveLoopAtEveryEdge) {
+  const Variant& v = GetParam();
+  util::ThreadPool pool(4);
+  stats::Rng rng(0xED6E5ull);
+  for (const std::size_t d : edge_widths()) {
+    for (const std::size_t rows : edge_rows()) {
+      const Matrix x = draw_matrix(rng, rows, d, draw_regime(rng));
+      const std::vector<double> means = column_means(x);
+      const Matrix want = naive_cross_products(x, means);
+      expect_bit_identical(v.cross_products(x, means, nullptr), want,
+                           "cross-products");
+      expect_bit_identical(v.cross_products(x, means, &pool), want,
+                           "cross-products on 4 threads");
+      if (HasFailure()) return;
+    }
+  }
+}
+
+TEST_P(KernelVariant, ProductMatchesNaiveLoopsAtEveryEdge) {
+  const Variant& v = GetParam();
+  util::ThreadPool pool(4);
+  stats::Rng rng(0x9A1E5ull);
+  const std::vector<std::size_t> widths = edge_widths();
+  for (std::size_t w = 0; w < widths.size(); ++w) {
+    for (const std::size_t rows : edge_rows()) {
+      const std::size_t cols = widths[w];
+      const std::size_t inner = widths[(w + rows) % widths.size()];
+      const Regime regime = draw_regime(rng);
+      const Matrix a = draw_matrix(rng, rows, inner, regime);
+      const Matrix b = draw_matrix(rng, inner, cols, regime);
+      expect_bit_identical(v.product(a, {}, b, cols, nullptr),
+                           naive_multiply(a, b), "product");
+
+      const std::vector<double> centre = draw_vector(rng, inner, regime);
+      const std::size_t k = draw_size(rng, cols, 1.0);
+      const Matrix projection = naive_projection(a, centre, b, k);
+      expect_bit_identical(v.product(a, centre, b, k, nullptr), projection,
+                           "projection");
+      expect_bit_identical(v.product(a, centre, b, k, &pool), projection,
+                           "projection on 4 threads");
+      if (HasFailure()) return;
+    }
+  }
+}
+
+// u · v rounds to exactly 1 (the exact product is 1 − 2⁻⁶⁰), so with a
+// separate multiply and add −1 + u · v is exactly 0, while a fused
+// multiply-add keeps the product unrounded and gives −2⁻⁶⁰. Every checked
+// slot ends with that step, so an FMA anywhere in a variant fails here.
+constexpr double kU = 1.0 + 0x1p-30;
+constexpr double kV = 1.0 - 0x1p-30;
+
+TEST_P(KernelVariant, SeparateMultiplyAndAddNeverFuse) {
+  const Variant& v = GetParam();
+  // Rows (−1, …, −1, 1, …, 1) then (u, …, u, v, …, v): every slot (i, j)
+  // with i < 9 ≤ j sums −1 · 1 and then u · v.
+  const std::size_t d = 18;
+  Matrix x(2, d);
+  for (std::size_t c = 0; c < d; ++c) {
+    x(0, c) = c < d / 2 ? -1.0 : 1.0;
+    x(1, c) = c < d / 2 ? kU : kV;
+  }
+  const std::vector<double> zeros(d, 0.0);
+  const Matrix s = v.cross_products(x, zeros, nullptr);
+  expect_bit_identical(s, naive_cross_products(x, zeros), "cross-products");
+  for (std::size_t i = 0; i < d / 2; ++i) {
+    for (std::size_t j = d / 2; j < d; ++j) EXPECT_EQ(s(i, j), 0.0);
+  }
+
+  // out(r, j) = −1 · 1 + u · v for every row and all 17 columns, so both
+  // the 8-wide groups and the tail column are covered.
+  Matrix a(5, 2);
+  Matrix b(2, 17);
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    a(r, 0) = -1.0;
+    a(r, 1) = kU;
+  }
+  for (std::size_t j = 0; j < b.cols(); ++j) {
+    b(0, j) = 1.0;
+    b(1, j) = kV;
+  }
+  const Matrix p = v.product(a, {}, b, b.cols(), nullptr);
+  expect_bit_identical(p, naive_multiply(a, b), "product");
+  for (const double value : p.data()) EXPECT_EQ(value, 0.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(KernelVariants, KernelVariant,
+                         ::testing::ValuesIn(kVariants),
+                         [](const ::testing::TestParamInfo<Variant>& info) {
+                           return std::string(info.param.name);
+                         });
 
 TEST(CenteredProductKernel, RejectsMismatchedShapes) {
   const Matrix a(3, 4);

@@ -162,7 +162,7 @@ TEST(VectorOps, SquaredDistance) {
 TEST(VectorOps, ValidateSizes) {
   const std::vector<double> a = {1};
   const std::vector<double> b = {1, 2};
-  EXPECT_THROW(squared_distance(a, b), std::invalid_argument);
+  EXPECT_THROW((void)squared_distance(a, b), std::invalid_argument);
 }
 
 }  // namespace

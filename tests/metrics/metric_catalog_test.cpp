@@ -51,7 +51,7 @@ TEST(MetricCatalog, IndicesAreDense) {
   for (std::size_t i = 0; i < cat.size(); ++i) {
     EXPECT_EQ(cat.info(i).index, i);
   }
-  EXPECT_THROW(cat.info(cat.size()), std::invalid_argument);
+  EXPECT_THROW((void)cat.info(cat.size()), std::invalid_argument);
 }
 
 TEST(MetricCatalog, IndexOfRoundTrips) {

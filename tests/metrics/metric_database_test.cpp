@@ -35,7 +35,7 @@ TEST(MetricDatabase, AddAndRetrieveRows) {
   EXPECT_EQ(db.num_metrics(), 3u);
   EXPECT_EQ(db.row(1).scenario_key, "DA:2");
   EXPECT_DOUBLE_EQ(db.row(1).observation_weight, 2.5);
-  EXPECT_THROW(db.row(2), std::invalid_argument);
+  EXPECT_THROW((void)db.row(2), std::invalid_argument);
 }
 
 TEST(MetricDatabase, RejectsWrongArity) {

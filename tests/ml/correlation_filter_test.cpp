@@ -53,7 +53,9 @@ TEST(CorrelationFilter, KeepsEarliestMemberOfDuplicateFamily) {
   const CorrelationFilterResult result = CorrelationFilter(0.95).fit(data);
   // Column 4 duplicates 3 and 3 comes first -> 3 kept, 4 dropped against 3.
   for (const CorrelationDrop& d : result.drops) {
-    if (d.dropped_column == 4) EXPECT_EQ(d.kept_column, 3u);
+    if (d.dropped_column == 4) {
+      EXPECT_EQ(d.kept_column, 3u);
+    }
   }
 }
 

@@ -159,8 +159,8 @@ TEST(Pca, ValidatesPreconditions) {
   EXPECT_THROW(pca.transform(Matrix(5, 2), 1), std::invalid_argument);
   EXPECT_THROW(pca.transform(anisotropic_data(5, 1), 0), std::invalid_argument);
   EXPECT_THROW(pca.transform(anisotropic_data(5, 1), 4), std::invalid_argument);
-  EXPECT_THROW(pca.num_components_for(0.0), std::invalid_argument);
-  EXPECT_THROW(pca.num_components_for(1.5), std::invalid_argument);
+  EXPECT_THROW((void)pca.num_components_for(0.0), std::invalid_argument);
+  EXPECT_THROW((void)pca.num_components_for(1.5), std::invalid_argument);
 }
 
 TEST(Pca, StandardizedPipelineVarianceTargetMonotone) {

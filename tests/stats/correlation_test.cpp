@@ -53,9 +53,10 @@ TEST(Pearson, IsSymmetric) {
 }
 
 TEST(Pearson, RejectsSizeMismatchAndTooFew) {
-  EXPECT_THROW(pearson(std::vector<double>{1, 2}, std::vector<double>{1}),
-               std::invalid_argument);
-  EXPECT_THROW(pearson(std::vector<double>{1}, std::vector<double>{1}),
+  EXPECT_THROW(
+      (void)pearson(std::vector<double>{1, 2}, std::vector<double>{1}),
+      std::invalid_argument);
+  EXPECT_THROW((void)pearson(std::vector<double>{1}, std::vector<double>{1}),
                std::invalid_argument);
 }
 

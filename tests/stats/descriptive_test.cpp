@@ -17,7 +17,7 @@ TEST(Mean, MatchesHandComputation) { EXPECT_DOUBLE_EQ(mean(kSample), 5.0); }
 TEST(Mean, SingleElement) { EXPECT_DOUBLE_EQ(mean(std::vector<double>{3.0}), 3.0); }
 
 TEST(Mean, ThrowsOnEmpty) {
-  EXPECT_THROW(mean(std::vector<double>{}), std::invalid_argument);
+  EXPECT_THROW((void)mean(std::vector<double>{}), std::invalid_argument);
 }
 
 TEST(Variance, UnbiasedSampleVariance) {
@@ -60,8 +60,8 @@ TEST(Percentile, DoesNotRequireSortedInput) {
 }
 
 TEST(Percentile, RejectsOutOfRangeQ) {
-  EXPECT_THROW(percentile(kSample, -0.1), std::invalid_argument);
-  EXPECT_THROW(percentile(kSample, 1.1), std::invalid_argument);
+  EXPECT_THROW((void)percentile(kSample, -0.1), std::invalid_argument);
+  EXPECT_THROW((void)percentile(kSample, 1.1), std::invalid_argument);
 }
 
 TEST(RunningStats, MatchesBatchStatistics) {
@@ -74,7 +74,7 @@ TEST(RunningStats, MatchesBatchStatistics) {
 
 TEST(RunningStats, EmptyAccessorThrows) {
   RunningStats rs;
-  EXPECT_THROW(rs.mean(), std::invalid_argument);
+  EXPECT_THROW((void)rs.mean(), std::invalid_argument);
 }
 
 TEST(RunningStats, VarianceZeroBelowTwoSamples) {

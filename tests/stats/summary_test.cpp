@@ -22,7 +22,7 @@ TEST(BoxSummary, FiveNumbersAreOrdered) {
 }
 
 TEST(BoxSummary, ThrowsOnEmpty) {
-  EXPECT_THROW(box_summary(std::vector<double>{}), std::invalid_argument);
+  EXPECT_THROW((void)box_summary(std::vector<double>{}), std::invalid_argument);
 }
 
 }  // namespace

@@ -53,9 +53,9 @@ TEST(ParseDouble, ParsesValidNumbers) {
 }
 
 TEST(ParseDouble, ThrowsOnGarbage) {
-  EXPECT_THROW(parse_double("abc"), ParseError);
-  EXPECT_THROW(parse_double(""), ParseError);
-  EXPECT_THROW(parse_double("1.5x"), ParseError);
+  EXPECT_THROW((void)parse_double("abc"), ParseError);
+  EXPECT_THROW((void)parse_double(""), ParseError);
+  EXPECT_THROW((void)parse_double("1.5x"), ParseError);
 }
 
 TEST(ParseInt, ParsesValidIntegers) {
@@ -64,8 +64,8 @@ TEST(ParseInt, ParsesValidIntegers) {
 }
 
 TEST(ParseInt, ThrowsOnGarbage) {
-  EXPECT_THROW(parse_int("4.2"), ParseError);
-  EXPECT_THROW(parse_int(""), ParseError);
+  EXPECT_THROW((void)parse_int("4.2"), ParseError);
+  EXPECT_THROW((void)parse_int(""), ParseError);
 }
 
 }  // namespace
