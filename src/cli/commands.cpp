@@ -212,8 +212,6 @@ int run_analyze(const Args& args, std::ostream& out) {
   const bool fan_in = shapes.size() > 1;
   std::size_t fleet_clusters = 0;
   for (std::size_t i = 0; i < shapes.size(); ++i) {
-    core::AnalyzerConfig shape_config = config;
-    shape_config.lineage_tag = core::ShardedPipeline::lineage_tag_for(shapes[i], i);
     core::AnalysisResult analysis;
     metrics::MetricDatabase shape_db(catalog);
     const metrics::MetricDatabase* rows = &db;
@@ -225,7 +223,7 @@ int run_analyze(const Args& args, std::ostream& out) {
         pool = std::make_unique<util::ThreadPool>(config.threads);
       }
       core::OutOfCoreTelemetry telemetry;
-      analysis = core::analyze_out_of_core(*store, shape_config, ooc, pool.get(),
+      analysis = core::analyze_out_of_core(*store, config, ooc, pool.get(),
                                            &telemetry);
       out << "out-of-core: " << telemetry.passes << " streaming passes over "
           << store->num_blocks() << " blocks ("
@@ -241,7 +239,7 @@ int run_analyze(const Args& args, std::ostream& out) {
                "analyze --shapes: shape '" + shapes[i] + "' has no scenario rows");
         rows = &shape_db;
       }
-      analysis = core::Analyzer(shape_config).analyze(*rows);
+      analysis = core::Analyzer(config).analyze(*rows);
     }
     std::vector<std::string> keys;
     for (const std::size_t r : analysis.representatives) {

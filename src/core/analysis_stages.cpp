@@ -1,8 +1,6 @@
 // Implementations of the composable analysis stages (core/analyzer.hpp,
-// namespace stages) plus the content-fingerprint helpers of
-// core/stage_graph.hpp. The Analyzer orchestrates these; each stage is a
-// pure function of its arguments and produces bit for bit what the former
-// monolithic Analyzer::analyze computed for the same inputs.
+// namespace stages). The Analyzer orchestrates these; each stage is a pure
+// function of its arguments.
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -13,26 +11,6 @@
 #include "util/thread_pool.hpp"
 
 namespace flare::core {
-
-std::uint64_t fingerprint_matrix(const linalg::Matrix& m, std::uint64_t seed) {
-  std::uint64_t h = util::hash_mix(seed, m.rows());
-  h = util::hash_mix(h, m.cols());
-  const std::vector<double>& data = m.data();
-  return util::fnv1a(
-      std::string_view(reinterpret_cast<const char*>(data.data()),
-                       data.size() * sizeof(double)),
-      h);
-}
-
-std::uint64_t fingerprint_doubles(const std::vector<double>& v,
-                                  std::uint64_t seed) {
-  const std::uint64_t h = util::hash_mix(seed, v.size());
-  return util::fnv1a(
-      std::string_view(reinterpret_cast<const char*>(v.data()),
-                       v.size() * sizeof(double)),
-      h);
-}
-
 namespace stages {
 namespace {
 
@@ -423,11 +401,6 @@ void absorb_rows(AnalysisResult& analysis, const linalg::Matrix& projected,
     }
     ++analysis.stage_counters.representatives;
   }
-
-  // The stored stage outputs no longer equal what a from-scratch fit over
-  // the grown population would produce — no future analysis may splice them
-  // in by fingerprint.
-  analysis.fingerprints = StageFingerprints{};
 }
 
 linalg::Matrix centroids_to_raw(const AnalysisResult& fitted,

@@ -1,12 +1,13 @@
 // Stage orchestration for the Analyzer. The stages themselves live in
-// core/analysis_stages.cpp; this file decides, per stage, whether the
-// previous result's output can be spliced in (input fingerprints equal) or
-// the stage must recompute — and keeps the recompute counters honest.
+// core/analysis_stages.cpp; analyze() runs all six in order, and the
+// incremental paths (refit_incremental, recluster) run a suffix of the chain
+// over a fitted result — each bumping the counters of exactly the stages it ran.
 #include "core/analyzer.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 
 #include "linalg/covariance.hpp"
 #include "util/error.hpp"
@@ -22,92 +23,64 @@ std::unique_ptr<util::ThreadPool> make_pool(std::size_t threads) {
   return std::make_unique<util::ThreadPool>(threads);
 }
 
-/// Fingerprints for the upstream stages (raw input through the whitened
-/// cluster space). Each stage chains its upstream fingerprint with the bits
-/// of exactly the config knobs it reads, so equality across two analyses
-/// pins the whole input lineage. The cluster/representative fingerprints
-/// need the warm-start centroids and weights and are chained in analyze().
-StageFingerprints upstream_fingerprints(const linalg::Matrix& raw,
-                                        const metrics::MetricCatalog& catalog,
-                                        const AnalyzerConfig& cfg,
-                                        std::uint64_t health_salt = 0) {
-  StageFingerprints fp;
-  std::uint64_t h = fingerprint_matrix(raw);
-  for (const metrics::MetricInfo& m : catalog.metrics()) {
-    h = util::fnv1a(m.name, h);
-  }
-  // Degraded fits mix the quarantine mask into the lineage root: a fit that
-  // ignored some rows' moments must never splice with a clean fit over the
-  // same bytes (health_salt == 0 for clean fits, preserving their hashes).
-  if (health_salt != 0) h = util::hash_mix(h, health_salt);
-  // Sharded fits mix the shard's lineage tag the same way: two shards fed
-  // byte-identical databases must never splice each other's stages
-  // (lineage_tag == 0 for unsharded fits, preserving their hashes).
-  if (cfg.lineage_tag != 0) h = util::hash_mix(h, cfg.lineage_tag);
-  fp.raw = h;
-  h = util::hash_mix(fp.raw, cfg.use_correlation_filter ? 1u : 0u);
-  fp.refine = hash_mix(h, cfg.correlation_threshold);
-  fp.standardize = util::hash_mix(fp.refine, 0x5354Du);  // stage tag, no knobs
-  h = hash_mix(fp.standardize, cfg.variance_target);
-  h = util::hash_mix(h, cfg.labeler.max_contributors);
-  fp.pca = hash_mix(h, cfg.labeler.min_abs_loading);
-  fp.whiten = util::hash_mix(fp.pca, cfg.whiten ? 1u : 0u);
-  return fp;
-}
+/// The rows and weights a fit is computed from. A degraded fit (some row
+/// quarantined) keeps every row's population slot but takes its moments from
+/// the healthy rows only, and quarantined rows carry zero weight.
+struct FitMask {
+  bool degraded = false;
+  std::vector<std::size_t> healthy_rows;
+  std::vector<double> weights;
 
-/// Hash of the quarantine mask (0 when nothing is quarantined): one bit per
-/// row, packed, plus the row count.
-std::uint64_t health_fingerprint(const AnalysisHealth* health) {
-  if (health == nullptr || !health->any_quarantined()) return 0;
-  std::uint64_t h = util::hash_mix(0x51A8A17Eull, health->quarantined.size());
-  std::uint64_t word = 0;
-  std::size_t bits = 0;
-  for (const bool q : health->quarantined) {
-    word = (word << 1) | (q ? 1u : 0u);
-    if (++bits == 64) {
-      h = util::hash_mix(h, word);
-      word = 0;
-      bits = 0;
+  /// nullptr for a clean fit (every row), the healthy rows otherwise.
+  [[nodiscard]] const std::vector<std::size_t>* rows() const {
+    return degraded ? &healthy_rows : nullptr;
+  }
+};
+
+FitMask fit_mask(const std::vector<double>& weights, const AnalysisHealth* health,
+                 std::size_t min_clusters, const std::string& who) {
+  ensure(health == nullptr || health->quarantined.empty() ||
+             health->quarantined.size() == weights.size(),
+         who + ": health mask must match the row count");
+  FitMask fit;
+  fit.degraded = health != nullptr && health->any_quarantined();
+  fit.weights = weights;
+  if (!fit.degraded) return fit;
+  fit.healthy_rows.reserve(weights.size());
+  double healthy_weight = 0.0;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    if (health->quarantined[i]) {
+      fit.weights[i] = 0.0;
+    } else {
+      fit.healthy_rows.push_back(i);
+      healthy_weight += weights[i];
     }
   }
-  if (bits != 0) h = util::hash_mix(h, word);
-  return h;
+  if (fit.healthy_rows.size() < min_clusters) {
+    throw QuarantineError(who + ": only " + std::to_string(fit.healthy_rows.size()) +
+                          " rows survived quarantine but " +
+                          std::to_string(min_clusters) + " clusters are required");
+  }
+  if (healthy_weight <= 0.0) {
+    throw QuarantineError(who + ": quarantine removed all observation-weight mass");
+  }
+  return fit;
 }
 
-/// Chains the clustering-stage fingerprint from the whiten fingerprint, the
-/// clustering knobs, the K-means weights (when clustering is weighted) and
-/// the warm-start seed (a warm refit may converge differently, so it must
-/// not be conflated with a cold fit of the same data).
-std::uint64_t cluster_fingerprint(std::uint64_t whiten_fp,
-                                  const AnalyzerConfig& cfg,
-                                  const std::vector<double>& weights,
-                                  const linalg::Matrix& warm_centroids) {
-  std::uint64_t h = util::hash_mix(whiten_fp, static_cast<std::uint64_t>(cfg.algorithm));
-  h = util::hash_mix(h, cfg.fixed_clusters ? *cfg.fixed_clusters + 1 : 0u);
-  h = util::hash_mix(h, cfg.min_clusters);
-  h = util::hash_mix(h, cfg.max_clusters);
-  h = util::hash_mix(h, cfg.compute_quality_curve ? 1u : 0u);
-  h = util::hash_mix(h, static_cast<std::uint64_t>(cfg.kmeans.max_iterations));
-  h = util::hash_mix(h, static_cast<std::uint64_t>(cfg.kmeans.restarts));
-  h = hash_mix(h, cfg.kmeans.tolerance);
-  h = util::hash_mix(h, cfg.kmeans.seed);
-  h = util::hash_mix(h, static_cast<std::uint64_t>(cfg.kmeans.init));
-  // `prune` is deliberately excluded: pruned and naive assignment are
-  // bit-identical, so the flag cannot change the stage output.
-  // Scale knobs (DESIGN.md §12): the solver mode, coreset geometry and the
-  // silhouette estimator thresholds all change what the stage emits, so they
-  // pin the lineage like any other clustering knob.
-  h = util::hash_mix(h, static_cast<std::uint64_t>(cfg.kmeans_mode));
-  h = util::hash_mix(h, cfg.minibatch_threshold);
-  h = util::hash_mix(h, cfg.coreset.size);
-  h = util::hash_mix(h, cfg.coreset.seed);
-  h = util::hash_mix(h, static_cast<std::uint64_t>(cfg.minibatch_refine_iterations));
-  h = util::hash_mix(h, cfg.silhouette_exact_threshold);
-  h = util::hash_mix(h, cfg.silhouette_sample);
-  h = util::hash_mix(h, cfg.weight_clustering_by_observation ? 1u : 0u);
-  if (cfg.weight_clustering_by_observation) h = fingerprint_doubles(weights, h);
-  if (!warm_centroids.empty()) h = fingerprint_matrix(warm_centroids, h);
-  return h;
+/// The books of a fit given `health` (an empty ledger for a fit without one).
+QuarantineLedger quarantine_ledger(const std::vector<double>& weights,
+                                   const AnalysisHealth* health) {
+  QuarantineLedger ledger;
+  if (health == nullptr) return ledger;
+  ledger.imputed_cells = health->imputed_cells;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    ledger.total_weight += weights[i];
+    if (!health->quarantined.empty() && health->quarantined[i]) {
+      ledger.quarantined_rows.push_back(i);
+      ledger.quarantined_weight += weights[i];
+    }
+  }
+  return ledger;
 }
 
 }  // namespace
@@ -131,195 +104,75 @@ AnalysisResult Analyzer::analyze(const metrics::MetricDatabase& db) const {
 }
 
 AnalysisResult Analyzer::analyze(const metrics::MetricDatabase& db,
-                                 util::ThreadPool* pool) const {
-  return analyze(db, pool, nullptr);
-}
-
-AnalysisResult Analyzer::analyze(const metrics::MetricDatabase& db,
                                  util::ThreadPool* pool,
-                                 const AnalysisResult* previous,
-                                 bool warm_start,
-                                 const AnalysisHealth* health) const {
+                                 const AnalysisHealth* health,
+                                 const AnalysisResult* warm_start) const {
   ensure(db.num_rows() >= config_.min_clusters,
          "Analyzer::analyze: fewer scenarios than clusters");
   const linalg::Matrix raw = db.to_matrix();
   const std::vector<double> weights = db.weights();
-
-  // Degraded fit: quarantined rows keep their population slot but are
-  // excluded from every fitted moment and carry zero weight mass.
-  ensure(health == nullptr || health->quarantined.empty() ||
-             health->quarantined.size() == db.num_rows(),
-         "Analyzer::analyze: health mask must match the row count");
-  const bool degraded = health != nullptr && health->any_quarantined();
-  std::vector<std::size_t> healthy_rows;
-  std::vector<double> fit_weights = weights;
-  if (degraded) {
-    healthy_rows.reserve(db.num_rows());
-    for (std::size_t i = 0; i < db.num_rows(); ++i) {
-      if (health->quarantined[i]) {
-        fit_weights[i] = 0.0;
-      } else {
-        healthy_rows.push_back(i);
-      }
-    }
-    if (healthy_rows.size() < config_.min_clusters) {
-      throw QuarantineError(
-          "Analyzer::analyze: only " + std::to_string(healthy_rows.size()) +
-          " rows survived quarantine but " +
-          std::to_string(config_.min_clusters) + " clusters are required");
-    }
-  }
-  const std::vector<std::size_t>* fit_rows = degraded ? &healthy_rows : nullptr;
+  const FitMask fit = fit_mask(weights, health, config_.min_clusters,
+                               "Analyzer::analyze");
 
   AnalysisResult result;
-  result.stage_counters = previous != nullptr ? previous->stage_counters
-                                              : StageCounters{};
-  StageFingerprints fp = upstream_fingerprints(raw, db.catalog(), config_,
-                                               health_fingerprint(health));
-  const auto reusable = [&](std::uint64_t StageFingerprints::*stage,
-                            std::uint64_t want) {
-    // Poisoned results carry zero fingerprints and never match (see
-    // stages::absorb_rows); a computed fingerprint is never zero in practice.
-    if (previous == nullptr) return false;
-    const std::uint64_t prev_fp = previous->fingerprints.*stage;
-    return prev_fp != 0 && prev_fp == want;
-  };
-
-  // Intermediate matrices, materialised only when a downstream stage has to
-  // recompute. Re-deriving them from the reused fitted transforms is
-  // bit-identical to the original fit (select_columns copies values and
-  // Standardizer::fit_transform is fit() followed by the same transform()).
-  linalg::Matrix refined;
-  linalg::Matrix standardized;
-  const auto need_refined = [&]() {
-    if (refined.empty()) refined = raw.select_columns(result.kept_columns);
-  };
-  const auto need_standardized = [&]() {
-    if (standardized.empty()) {
-      need_refined();
-      standardized = result.standardizer.transform(refined);
-    }
-  };
 
   // --- Refinement (§4.2): constants, then correlation duplicates ---
-  if (reusable(&StageFingerprints::refine, fp.refine)) {
-    result.kept_columns = previous->kept_columns;
-    result.constant_columns = previous->constant_columns;
-    result.refinement = previous->refinement;
-  } else {
-    stages::RefineOutput ro = stages::refine(raw, config_, fit_rows);
-    result.kept_columns = std::move(ro.kept_columns);
-    result.constant_columns = std::move(ro.constant_columns);
-    result.refinement = std::move(ro.refinement);
-    refined = std::move(ro.refined);
-    ++result.stage_counters.refine;
-  }
+  stages::RefineOutput ro = stages::refine(raw, config_, fit.rows());
+  result.kept_columns = std::move(ro.kept_columns);
+  result.constant_columns = std::move(ro.constant_columns);
+  result.refinement = std::move(ro.refinement);
+  ++result.stage_counters.refine;
 
   // --- Standardisation (§4.3) ---
-  if (reusable(&StageFingerprints::standardize, fp.standardize)) {
-    result.standardizer = previous->standardizer;
-  } else {
-    need_refined();
-    stages::StandardizeOutput so = stages::standardize(refined, fit_rows);
-    result.standardizer = std::move(so.standardizer);
-    standardized = std::move(so.standardized);
-    ++result.stage_counters.standardize;
-  }
+  stages::StandardizeOutput so = stages::standardize(ro.refined, fit.rows());
+  result.standardizer = std::move(so.standardizer);
+  ++result.stage_counters.standardize;
 
   // --- PCA + labelling (§4.3) ---
-  if (reusable(&StageFingerprints::pca, fp.pca)) {
-    result.pca = previous->pca;
-    result.num_components = previous->num_components;
-    result.interpretations = previous->interpretations;
-  } else {
-    need_standardized();
-    stages::PcaOutput po = stages::fit_pca(standardized, result.kept_columns,
-                                           db.catalog(), config_, pool, fit_rows);
-    result.pca = std::move(po.pca);
-    result.num_components = po.num_components;
-    result.interpretations = std::move(po.interpretations);
-    ++result.stage_counters.pca;
-  }
+  stages::PcaOutput po = stages::fit_pca(so.standardized, result.kept_columns,
+                                         db.catalog(), config_, pool, fit.rows());
+  result.pca = std::move(po.pca);
+  result.num_components = po.num_components;
+  result.interpretations = std::move(po.interpretations);
+  ++result.stage_counters.pca;
 
   // --- Whitened clustering space (§4.4) ---
-  if (reusable(&StageFingerprints::whiten, fp.whiten)) {
-    result.whitener = previous->whitener;
-    result.whitened = previous->whitened;
-    result.cluster_space = previous->cluster_space;
-  } else {
-    need_standardized();
-    stages::WhitenOutput wo = stages::whiten(result.pca, result.num_components,
-                                             standardized, config_, fit_rows);
-    result.whitener = std::move(wo.whitener);
-    result.whitened = wo.whitened;
-    result.cluster_space = std::move(wo.cluster_space);
-    ++result.stage_counters.whiten;
-  }
+  stages::WhitenOutput wo = stages::whiten(result.pca, result.num_components,
+                                           so.standardized, config_, fit.rows());
+  result.whitener = std::move(wo.whitener);
+  result.whitened = wo.whitened;
+  result.cluster_space = std::move(wo.cluster_space);
+  ++result.stage_counters.whiten;
 
   // Warm-start seed (kRefit): the previous centroids, lifted back to raw
   // metric space and pushed through the freshly fitted stages. Columns the
   // previous fit dropped are filled from the new population's column means.
   linalg::Matrix warm;
-  if (warm_start && previous != nullptr && !previous->clustering.centroids.empty()) {
+  if (warm_start != nullptr && !warm_start->clustering.centroids.empty()) {
     warm = stages::project_rows(
-        result, stages::centroids_to_raw(*previous, linalg::column_means(raw)));
+        result, stages::centroids_to_raw(*warm_start, linalg::column_means(raw)));
   }
-  fp.cluster = cluster_fingerprint(fp.whiten, config_, fit_weights, warm);
-  fp.representatives =
-      fingerprint_doubles(fit_weights, util::hash_mix(fp.cluster, 0x52455052u));
 
   // --- Cluster-count sweep + kept clustering (Fig. 9, §4.4) ---
-  if (reusable(&StageFingerprints::cluster, fp.cluster)) {
-    result.quality_curve = previous->quality_curve;
-    result.chosen_k = previous->chosen_k;
-    result.clustering = previous->clustering;
-  } else {
-    stages::ClusterOutput co =
-        stages::cluster(result.cluster_space, fit_weights, config_, pool, warm);
-    result.quality_curve = std::move(co.quality_curve);
-    result.chosen_k = co.chosen_k;
-    result.clustering = std::move(co.clustering);
-    ++result.stage_counters.cluster;
-  }
+  stages::ClusterOutput co =
+      stages::cluster(result.cluster_space, fit.weights, config_, pool, warm);
+  result.quality_curve = std::move(co.quality_curve);
+  result.chosen_k = co.chosen_k;
+  result.clustering = std::move(co.clustering);
+  ++result.stage_counters.cluster;
 
   // --- Representatives & weights (§4.4–§4.5) ---
-  double healthy_weight = 0.0;
-  for (const double w : fit_weights) healthy_weight += w;
-  if (degraded && healthy_weight <= 0.0) {
-    throw QuarantineError(
-        "Analyzer::analyze: quarantine removed all observation-weight mass");
-  }
-  ensure(healthy_weight > 0.0, "Analyzer::analyze: zero total observation weight");
-  if (reusable(&StageFingerprints::representatives, fp.representatives)) {
-    result.representatives = previous->representatives;
-    result.cluster_weights = previous->cluster_weights;
-  } else {
-    // Degraded fits pick representatives with positive (healthy) weight only
-    // — an imputed below-quorum row must never stand for a cluster.
-    stages::RepresentativesOutput rep =
-        stages::representatives(result.clustering, result.cluster_space,
-                                result.chosen_k, fit_weights,
-                                /*require_positive_weight=*/degraded);
-    result.representatives = std::move(rep.representatives);
-    result.cluster_weights = std::move(rep.cluster_weights);
-    ++result.stage_counters.representatives;
-  }
+  // Degraded fits pick representatives with positive (healthy) weight only
+  // — an imputed below-quorum row must never stand for a cluster.
+  stages::RepresentativesOutput rep =
+      stages::representatives(result.clustering, result.cluster_space,
+                              result.chosen_k, fit.weights,
+                              /*require_positive_weight=*/fit.degraded);
+  result.representatives = std::move(rep.representatives);
+  result.cluster_weights = std::move(rep.cluster_weights);
+  ++result.stage_counters.representatives;
 
-  if (health != nullptr) {
-    result.quarantine.imputed_cells = health->imputed_cells;
-    double total_weight = 0.0;
-    for (const double w : weights) total_weight += w;
-    result.quarantine.total_weight = total_weight;
-    if (degraded) {
-      for (std::size_t i = 0; i < db.num_rows(); ++i) {
-        if (!health->quarantined[i]) continue;
-        result.quarantine.quarantined_rows.push_back(i);
-        result.quarantine.quarantined_weight += weights[i];
-      }
-    }
-  }
-
-  result.fingerprints = fp;
+  result.quarantine = quarantine_ledger(weights, health);
   return result;
 }
 
@@ -329,9 +182,13 @@ AnalysisResult Analyzer::recluster(const AnalysisResult& base,
   ensure(new_weights.size() == base.cluster_space.rows(),
          "Analyzer::recluster: weight count must match scenario count");
   double total = 0.0;
-  for (const double w : new_weights) {
-    ensure(w >= 0.0, "Analyzer::recluster: weights must be non-negative");
-    total += w;
+  for (std::size_t i = 0; i < new_weights.size(); ++i) {
+    if (!std::isfinite(new_weights[i])) {
+      throw FaultError("Analyzer::recluster: non-finite weight at row " +
+                       std::to_string(i));
+    }
+    ensure(new_weights[i] >= 0.0, "Analyzer::recluster: weights must be non-negative");
+    total += new_weights[i];
   }
   ensure(total > 0.0, "Analyzer::recluster: zero total weight");
 
@@ -357,11 +214,6 @@ AnalysisResult Analyzer::recluster(const AnalysisResult& base,
   result.representatives = std::move(rep.representatives);
   result.cluster_weights = std::move(rep.cluster_weights);
   ++result.stage_counters.representatives;
-
-  // The replayed stages answer to a different question (recluster semantics:
-  // weights feed representative selection) — never splice them into a fit.
-  result.fingerprints.cluster = 0;
-  result.fingerprints.representatives = 0;
   return result;
 }
 
@@ -379,34 +231,11 @@ AnalysisResult Analyzer::refit_incremental(const metrics::MetricDatabase& db,
          "Analyzer::refit_incremental: fewer scenarios than clusters");
   const linalg::Matrix raw = db.to_matrix();
   const std::vector<double> weights = db.weights();
-
   // Same quarantine semantics as analyze(): the standardizer and basis are
   // frozen/spliced anyway, so only the whitener moments and the weight mass
   // need masking here.
-  ensure(health == nullptr || health->quarantined.empty() ||
-             health->quarantined.size() == db.num_rows(),
-         "Analyzer::refit_incremental: health mask must match the row count");
-  const bool degraded = health != nullptr && health->any_quarantined();
-  std::vector<std::size_t> healthy_rows;
-  std::vector<double> fit_weights = weights;
-  if (degraded) {
-    healthy_rows.reserve(db.num_rows());
-    for (std::size_t i = 0; i < db.num_rows(); ++i) {
-      if (health->quarantined[i]) {
-        fit_weights[i] = 0.0;
-      } else {
-        healthy_rows.push_back(i);
-      }
-    }
-    if (healthy_rows.size() < config_.min_clusters) {
-      throw QuarantineError(
-          "Analyzer::refit_incremental: only " +
-          std::to_string(healthy_rows.size()) +
-          " rows survived quarantine but " +
-          std::to_string(config_.min_clusters) + " clusters are required");
-    }
-  }
-  const std::vector<std::size_t>* fit_rows = degraded ? &healthy_rows : nullptr;
+  const FitMask fit = fit_mask(weights, health, config_.min_clusters,
+                               "Analyzer::refit_incremental");
 
   AnalysisResult result;
   result.stage_counters = previous.stage_counters;
@@ -431,7 +260,7 @@ AnalysisResult Analyzer::refit_incremental(const metrics::MetricDatabase& db,
   const linalg::Matrix refined = raw.select_columns(result.kept_columns);
   const linalg::Matrix standardized = result.standardizer.transform(refined);
   stages::WhitenOutput wo = stages::whiten(result.pca, result.num_components,
-                                           standardized, config_, fit_rows);
+                                           standardized, config_, fit.rows());
   result.whitener = std::move(wo.whitener);
   result.whitened = wo.whitened;
   result.cluster_space = std::move(wo.cluster_space);
@@ -450,43 +279,21 @@ AnalysisResult Analyzer::refit_incremental(const metrics::MetricDatabase& db,
   replay.fixed_clusters = previous.chosen_k;
   replay.compute_quality_curve = false;
   stages::ClusterOutput co =
-      stages::cluster(result.cluster_space, fit_weights, replay, pool, warm);
+      stages::cluster(result.cluster_space, fit.weights, replay, pool, warm);
   result.quality_curve = previous.quality_curve;
   result.chosen_k = co.chosen_k;
   result.clustering = std::move(co.clustering);
   ++result.stage_counters.cluster;
 
-  double healthy_weight = 0.0;
-  for (const double w : fit_weights) healthy_weight += w;
-  if (degraded && healthy_weight <= 0.0) {
-    throw QuarantineError(
-        "Analyzer::refit_incremental: quarantine removed all weight mass");
-  }
   stages::RepresentativesOutput rep =
       stages::representatives(result.clustering, result.cluster_space,
-                              result.chosen_k, fit_weights,
-                              /*require_positive_weight=*/degraded);
+                              result.chosen_k, fit.weights,
+                              /*require_positive_weight=*/fit.degraded);
   result.representatives = std::move(rep.representatives);
   result.cluster_weights = std::move(rep.cluster_weights);
   ++result.stage_counters.representatives;
 
-  if (health != nullptr) {
-    result.quarantine.imputed_cells = health->imputed_cells;
-    double total_weight = 0.0;
-    for (const double w : weights) total_weight += w;
-    result.quarantine.total_weight = total_weight;
-    if (degraded) {
-      for (std::size_t i = 0; i < db.num_rows(); ++i) {
-        if (!health->quarantined[i]) continue;
-        result.quarantine.quarantined_rows.push_back(i);
-        result.quarantine.quarantined_weight += weights[i];
-      }
-    }
-  }
-
-  // The spliced basis equals a cold fit only up to FP rounding — no future
-  // analysis may splice these outputs in by fingerprint.
-  result.fingerprints = StageFingerprints{};
+  result.quarantine = quarantine_ledger(weights, health);
   return result;
 }
 

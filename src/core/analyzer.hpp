@@ -6,15 +6,12 @@
 // alternative) → extract the representative scenario per cluster (nearest to
 // the centroid) and the cluster observation weights.
 //
-// The pipeline is implemented as a chain of composable stages (see
-// core/stage_graph.hpp and the `stages` namespace below): every stage's
-// inputs carry a content fingerprint, and an analysis given a `previous`
-// result reuses each stage whose input fingerprint is unchanged instead of
-// recomputing it. A plain analyze() runs every stage exactly as before —
-// batch results are bit-identical to the monolithic implementation.
+// analyze() runs the six stages in one straight line. Each stage is a pure
+// function in the `stages` namespace below, so the incremental ingest path and
+// the scheduler-change replay can run a suffix of the chain over a fitted
+// result; StageCounters (core/stage_graph.hpp) records what each one re-ran.
 #pragma once
 
-#include <cstdint>
 #include <optional>
 
 #include "core/pc_labeler.hpp"
@@ -87,15 +84,6 @@ struct AnalyzerConfig {
   /// bit-identical for every value — parallel loops write index-addressed
   /// slots and reductions happen serially in index order.
   std::size_t threads = 1;
-
-  /// Lineage namespace mixed into the fingerprint root when nonzero. The
-  /// sharded data plane gives every shape's pipeline a distinct tag so one
-  /// shard's stage outputs can never splice into another's, even over
-  /// byte-identical metric databases (DESIGN.md §13). 0 (default) leaves
-  /// every fingerprint exactly as before — the single-shape path is
-  /// unchanged. Numeric outputs never depend on the tag, only reuse
-  /// decisions do.
-  std::uint64_t lineage_tag = 0;
 
   PcLabelerConfig labeler;
 };
@@ -171,10 +159,8 @@ struct AnalysisResult {
   /// quarantined out of the moments/weights and how much mass they carried.
   QuarantineLedger quarantine;
 
-  // Stage-graph bookkeeping (core/stage_graph.hpp): input fingerprints that
-  // decide stage reuse, and how often each stage has recomputed across the
-  // lifetime of this analysis lineage.
-  StageFingerprints fingerprints;
+  /// How often each stage has recomputed across the lifetime of this
+  /// analysis lineage (core/stage_graph.hpp).
   StageCounters stage_counters;
 
   /// Cluster members ordered by distance from the centroid (nearest first) —
@@ -194,29 +180,24 @@ class Analyzer {
   /// profiling and analysis). nullptr = run inline. The pool accelerates the
   /// PCA covariance, the pairwise-distance matrix shared by the k-sweep, the
   /// per-k sweep points, and K-means restarts; outputs are bit-identical to
-  /// the serial path for every thread count.
-  [[nodiscard]] AnalysisResult analyze(const metrics::MetricDatabase& db,
-                                       util::ThreadPool* pool) const;
-
-  /// Stage-reusing re-analysis: any stage whose input fingerprint matches
-  /// `previous` splices in the previous output instead of recomputing (and
-  /// leaves its recompute counter untouched). With `warm_start`, the final
-  /// K-means at the chosen k seeds restart 0 from `previous`'s centroids
-  /// mapped into the new cluster space (see stages::centroids_to_raw) — the
-  /// drift monitor's kRefit action. `previous == nullptr` degrades to a
-  /// plain cold fit with every counter set to 1.
+  /// the serial path for every thread count. Every stage runs once, so each
+  /// of the six stage counters of the result reads 1.
   ///
   /// `health` (nullable) marks quarantined rows and imputation telemetry: the
   /// standardizer/PCA/whitener moments are fitted on the healthy rows only,
   /// quarantined rows keep their row slot (projected + assigned, zero weight)
   /// and representatives skip them; the books land in
-  /// AnalysisResult::quarantine. Degraded fits poison their raw fingerprint
-  /// with the quarantine mask so they never splice with clean fits.
+  /// AnalysisResult::quarantine.
+  ///
+  /// `warm_start` (nullable; the drift monitor's kRefit action) seeds restart
+  /// 0 of the final K-means at the chosen k from its centroids, lifted to raw
+  /// space through its own fitted transforms (stages::centroids_to_raw) and
+  /// projected into the new cluster space. Nothing else of it is read.
   [[nodiscard]] AnalysisResult analyze(const metrics::MetricDatabase& db,
                                        util::ThreadPool* pool,
-                                       const AnalysisResult* previous,
-                                       bool warm_start = false,
-                                       const AnalysisHealth* health = nullptr) const;
+                                       const AnalysisHealth* health = nullptr,
+                                       const AnalysisResult* warm_start =
+                                           nullptr) const;
 
   /// Re-clusters an existing analysis under new scenario weights without
   /// re-profiling — the §5.6 scheduler-change workflow ("derive new
@@ -224,7 +205,8 @@ class Analyzer {
   /// stage-level replay: the metric space, standardisation and PCA of `base`
   /// are reused verbatim; only the cluster + representative stages re-run
   /// over the re-weighted population (stage counters record exactly that).
-  /// `pool` shares worker threads (nullptr = run inline).
+  /// `pool` shares worker threads (nullptr = run inline). A non-finite
+  /// weight throws FaultError naming its row.
   [[nodiscard]] AnalysisResult recluster(const AnalysisResult& base,
                                          const std::vector<double>& new_weights,
                                          util::ThreadPool* pool) const;
@@ -238,8 +220,6 @@ class Analyzer {
   /// previous centroids (Fig. 9 sweep skipped, quality curve carried over).
   /// The refine/standardize/pca counters stay put; pca_incremental records
   /// the splice and whiten/cluster/representatives record the replay.
-  /// Fingerprints are poisoned: the spliced basis matches a cold fit only up
-  /// to FP rounding, never bit for bit.
   [[nodiscard]] AnalysisResult refit_incremental(const metrics::MetricDatabase& db,
                                                  const ml::Pca& updated_pca,
                                                  const AnalysisResult& previous,
@@ -260,8 +240,7 @@ class Analyzer {
 
 /// The individual analysis stages. Each is a pure function of its declared
 /// inputs — the Analyzer composes them, and tests exercise them in
-/// isolation. Outputs are bit-identical to the former monolithic
-/// Analyzer::analyze for the same inputs.
+/// isolation.
 namespace stages {
 
 /// Stage 1 — refinement (§4.2): drop numerically constant columns, then
@@ -376,8 +355,7 @@ struct NearestAssignment {
 /// `refresh_representatives` (the kReweight action) representatives are
 /// re-derived as the nearest positive-weight member and the representative
 /// stage counter bumps; otherwise (kValid) they stay put and no stage
-/// recomputes. Fingerprints are poisoned — the grown result is no longer a
-/// pure function of any single fit input.
+/// recomputes.
 void absorb_rows(AnalysisResult& analysis, const linalg::Matrix& projected,
                  const std::vector<double>& combined_weights,
                  bool refresh_representatives);

@@ -107,7 +107,6 @@ AnalysisResult analyze_out_of_core(const metrics::ColumnStore& store,
   ++tel.passes;
 
   AnalysisResult result;
-  result.stage_counters = StageCounters{};
 
   // ---- Refinement from moments (bit-identical decisions to stages::refine:
   // the constant rule reads only extrema, the duplicate rule only r) ----
@@ -241,12 +240,6 @@ AnalysisResult analyze_out_of_core(const metrics::ColumnStore& store,
   result.representatives = std::move(rep.representatives);
   result.cluster_weights = std::move(rep.cluster_weights);
   ++result.stage_counters.representatives;
-
-  // The fingerprints stay zero: the streamed fit matches the in-RAM path
-  // only up to floating-point reassociation (Chan-merged moments, eigensolve
-  // of the assembled correlation), and the Analyzer never reuses a stage
-  // whose fingerprint is zero, so this result cannot splice into an in-RAM
-  // lineage.
   return result;
 }
 

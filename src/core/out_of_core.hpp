@@ -23,11 +23,9 @@
 //   that compact matrix exactly as the in-RAM stages do.
 //
 // The result is a fully populated AnalysisResult — representatives, cluster
-// weights, quality curve, fitted transforms — whose fingerprints are all
-// zero: numerically the fit matches the in-RAM path to rounding, but it is
-// not bit-identical (moment reassociation), so its stages must never splice
-// into an in-RAM lineage, and the Analyzer never reuses a zero-fingerprint
-// stage.
+// weights, quality curve, fitted transforms, with every stage counter at 1.
+// Numerically the fit matches the in-RAM path to rounding, but it is not
+// bit-identical (moment reassociation).
 //
 // Not supported here: quarantine/health masking (the degraded-fit path stays
 // in-RAM — below-quorum populations are small by construction) and warm

@@ -75,16 +75,10 @@ void FlarePipeline::fit(const dcsim::ScenarioSet& set) {
     imputed_cells_total_ = impute_rows(*database_, 0);
   }
 
-  const Analyzer analyzer(config_.analyzer);
-  if (any_quarantined || imputed_cells_total_ > 0) {
-    const AnalysisHealth health{quarantined_, imputed_cells_total_};
-    analysis_ = std::make_unique<AnalysisResult>(analyzer.analyze(
-        *database_, pool_.get(), nullptr, /*warm_start=*/false, &health));
-  } else {
-    // Clean path, byte-for-byte the original fit (no health hashing).
-    analysis_ = std::make_unique<AnalysisResult>(
-        analyzer.analyze(*database_, pool_.get()));
-  }
+  const AnalysisHealth health{quarantined_, imputed_cells_total_};
+  const bool tracking = any_quarantined || imputed_cells_total_ > 0;
+  analysis_ = std::make_unique<AnalysisResult>(Analyzer(config_.analyzer).analyze(
+      *database_, pool_.get(), tracking ? &health : nullptr));
   scheduler_weights_.clear();
   rebase_tracked_pca();
 }
@@ -404,13 +398,13 @@ IngestReport FlarePipeline::ingest(const dcsim::ScenarioSet& batch,
         rebase_tracked_pca();
       } else {
         // Full refit over the combined population, warm-started from the
-        // previous centroids (stage fingerprints still skip any stage whose
-        // input happens to be unchanged). The fitted frame may change, so
-        // the tracked basis restarts from the cold fit — and the imputation
+        // previous centroids; all six stages re-run and the counters carry
+        // on from the previous analysis. The fitted frame may change, so the
+        // tracked basis restarts from the cold fit — and the imputation
         // medians go stale with the old frame.
-        AnalysisResult refit =
-            analyzer.analyze(*database_, pool_.get(), analysis_.get(),
-                             /*warm_start=*/true, health_ptr);
+        AnalysisResult refit = analyzer.analyze(*database_, pool_.get(),
+                                                health_ptr, analysis_.get());
+        refit.stage_counters += analysis_->stage_counters;
         *analysis_ = std::move(refit);
         rebase_tracked_pca();
         impute_medians_.clear();

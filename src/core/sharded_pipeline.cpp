@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "util/error.hpp"
-#include "util/hash.hpp"
 
 namespace flare::core {
 namespace {
@@ -56,27 +55,11 @@ ShardedPipeline::ShardedPipeline(ShardedConfig config,
   for (std::size_t i = 0; i < config_.fleet.shapes.size(); ++i) {
     FlareConfig shard_config = config_.base;
     shard_config.machine = config_.fleet.shapes[i].machine;
-    // The shard's fingerprint lineage: shape tag in the root, so stages of
-    // different shards can never splice (see AnalyzerConfig::lineage_tag).
-    shard_config.analyzer.lineage_tag = shard_lineage_tag(i);
     // Shard-level and stage-level parallelism never nest: when shards run in
     // parallel, each shard computes inline on its worker slot.
     if (shard_pool_ != nullptr) shard_config.threads = 1;
     shards_.push_back(std::make_unique<FlarePipeline>(shard_config, catalog));
   }
-}
-
-std::uint64_t ShardedPipeline::shard_lineage_tag(std::size_t index) const {
-  ensure(index < config_.fleet.shapes.size(),
-         "ShardedPipeline::shard_lineage_tag: shape index out of range");
-  return lineage_tag_for(config_.fleet.shapes[index].machine.name, index);
-}
-
-std::uint64_t ShardedPipeline::lineage_tag_for(std::string_view shape_name,
-                                               std::size_t index) {
-  std::uint64_t h = util::fnv1a(shape_name);
-  h = util::hash_mix(h, static_cast<std::uint64_t>(index) + 1);
-  return h != 0 ? h : 1;  // the tag must be nonzero to take effect
 }
 
 void ShardedPipeline::fit(const dcsim::FleetScenarioSet& fleet_set) {

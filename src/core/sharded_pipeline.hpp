@@ -6,9 +6,7 @@
 // into one PCA/K-means space blurs exactly the structure the clusters are
 // meant to separate. The sharded plane keeps one complete FlarePipeline per
 // shape — its own profiler, drift gate, incremental PCA, quarantine and
-// replay ledgers, and a distinct fingerprint lineage (the shape's tag is
-// mixed into the fingerprint root, so two shards can never splice each
-// other's stage outputs even over byte-identical databases).
+// replay ledgers, and its own analysis.
 //
 // Routing: every scenario row carries its shape id (the machine name the
 // dcsim scheduler stamped on it); fit and ingest split their input by that
@@ -20,9 +18,8 @@
 // .hpp): impact = Σ_s w_s · impact_s, ledger mass conserved to 1.
 //
 // Behaviour preservation: a one-shape ShardedPipeline is bit-identical to a
-// plain FlarePipeline over the same rows — the shard's lineage tag renames
-// fingerprints but never changes a numeric output, and everything else is
-// the same code path (tested under ctest -L shard).
+// plain FlarePipeline over the same rows — a shard is a FlarePipeline with
+// its shape's machine, on the same code path (tested under ctest -L shard).
 #pragma once
 
 #include <memory>
@@ -37,7 +34,7 @@ namespace flare::core {
 
 struct ShardedConfig {
   /// Per-shard template: every shard copies this and overrides `machine`
-  /// with its shape and `analyzer.lineage_tag` with the shape's tag.
+  /// with its shape.
   FlareConfig base;
   /// The shape-population table; also the source of the fan-in weights.
   dcsim::FleetConfig fleet;
@@ -111,17 +108,6 @@ class ShardedPipeline {
   [[nodiscard]] std::vector<double> weights() const;
   /// Σ distinct scenario replays across shards (evaluation-cost ledger).
   [[nodiscard]] std::size_t scenario_replays() const;
-
-  /// The lineage tag shard `index` stamps on its fingerprint roots and cache
-  /// keys — a nonzero mix of the shape name and the shard index (exposed so
-  /// callers can tag shard-adjacent caches consistently).
-  [[nodiscard]] std::uint64_t shard_lineage_tag(std::size_t index) const;
-
-  /// The tag derivation itself, for callers running per-shape analyses
-  /// outside a ShardedPipeline (e.g. `flare analyze`): nonzero mix
-  /// of the shape name and its fleet-table index.
-  [[nodiscard]] static std::uint64_t lineage_tag_for(std::string_view shape_name,
-                                                     std::size_t index);
 
  private:
   /// True if shard `index`'s fitted population contains `job`.

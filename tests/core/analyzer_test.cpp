@@ -4,12 +4,15 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <set>
+#include <string>
 #include <string_view>
 
 #include "stats/descriptive.hpp"
 #include "tests/core/test_env.hpp"
+#include "util/error.hpp"
 #include "util/hash.hpp"
 
 namespace flare::core {
@@ -225,6 +228,22 @@ TEST(AnalyzerRecluster, ValidatesWeights) {
   EXPECT_THROW(analyzer.recluster(base, negative, nullptr), std::invalid_argument);
   const std::vector<double> zeros(base.cluster_space.rows(), 0.0);
   EXPECT_THROW(analyzer.recluster(base, zeros, nullptr), std::invalid_argument);
+  // A non-finite weight is a measurement fault, rejected up front (before
+  // K-means sees it) and named by its row.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    std::vector<double> weights(base.cluster_space.rows(), 1.0);
+    weights[3] = bad;
+    try {
+      (void)analyzer.recluster(base, weights, nullptr);
+      ADD_FAILURE() << "non-finite weight " << bad << " was accepted";
+    } catch (const FaultError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "Analyzer::recluster: non-finite weight at row 3"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(AnalyzerSuggestK, FindsTheSseElbow) {
@@ -337,41 +356,6 @@ TEST(AnalyzerGolden, FitIsBitIdenticalToPreRefactorCapture) {
   mix(a.representatives.data(), a.representatives.size() * sizeof(std::size_t));
   mix(a.cluster_weights.data(), a.cluster_weights.size() * sizeof(double));
   EXPECT_EQ(h, 0x8d2548b8333dcaefull);
-}
-
-TEST(AnalyzerStages, RepeatAnalyzeWithPreviousReusesEveryStage) {
-  const Analyzer analyzer(testing::small_flare_config().analyzer);
-  const metrics::MetricDatabase& db = testing::fitted_pipeline().database();
-  const AnalysisResult first = analyzer.analyze(db);
-  EXPECT_EQ(first.stage_counters.refine, 1u);
-  EXPECT_EQ(first.stage_counters.total(), 6u);  // every stage ran exactly once
-  const AnalysisResult second = analyzer.analyze(db, nullptr, &first);
-  EXPECT_EQ(second.stage_counters, first.stage_counters);  // zero re-runs
-  EXPECT_TRUE(second.fingerprints == first.fingerprints);
-  EXPECT_EQ(second.representatives, first.representatives);
-  EXPECT_EQ(second.clustering.assignment, first.clustering.assignment);
-  EXPECT_EQ(second.clustering.sse, first.clustering.sse);
-  EXPECT_EQ(second.cluster_weights, first.cluster_weights);
-}
-
-TEST(AnalyzerStages, DownstreamConfigChangeReplaysOnlyDownstreamStages) {
-  AnalyzerConfig config = testing::small_flare_config().analyzer;
-  const metrics::MetricDatabase& db = testing::fitted_pipeline().database();
-  const AnalysisResult first = Analyzer(config).analyze(db);
-  config.whiten = false;  // stage 4 knob: stages 1-3 are untouched
-  const AnalysisResult second = Analyzer(config).analyze(db, nullptr, &first);
-  EXPECT_EQ(second.stage_counters.refine, 1u);
-  EXPECT_EQ(second.stage_counters.standardize, 1u);
-  EXPECT_EQ(second.stage_counters.pca, 1u);
-  EXPECT_EQ(second.stage_counters.whiten, 2u);
-  EXPECT_EQ(second.stage_counters.cluster, 2u);
-  EXPECT_EQ(second.stage_counters.representatives, 2u);
-  // The partial replay must match a cold fit of the same config, bit for bit.
-  const AnalysisResult cold = Analyzer(config).analyze(db);
-  EXPECT_EQ(second.cluster_space.data(), cold.cluster_space.data());
-  EXPECT_EQ(second.clustering.assignment, cold.clustering.assignment);
-  EXPECT_EQ(second.representatives, cold.representatives);
-  EXPECT_EQ(second.cluster_weights, cold.cluster_weights);
 }
 
 TEST(AnalyzerConfigValidation, RejectsBadRanges) {

@@ -119,8 +119,7 @@ TEST(PipelineIngest, RefitVerdictRerunsEveryStageWarmStarted) {
   EXPECT_EQ(report.drift.verdict, DriftVerdict::kRefit);
   EXPECT_EQ(report.action, DriftVerdict::kRefit);
   const StageCounters after = pipeline->analysis().stage_counters;
-  // The combined matrix changed, so every fingerprint is stale: each stage
-  // runs exactly once more.
+  // A refit re-runs the whole analysis: each stage runs exactly once more.
   EXPECT_EQ(after.refine, before.refine + 1);
   EXPECT_EQ(after.standardize, before.standardize + 1);
   EXPECT_EQ(after.pca, before.pca + 1);

@@ -392,28 +392,6 @@ TEST(FaultAcceptance, TenPercentFaultsFitAndEightBatchIngestComplete) {
   EXPECT_GT(ledger.total_weight, 0.0);
 }
 
-// Degraded fits must not splice with clean fits: the quarantine mask is
-// hashed into the raw fingerprint.
-TEST(FaultAcceptance, DegradedFitDoesNotReuseCleanStages) {
-  // Large enough that the healthy remainder stays above the refined column
-  // count after a 25% row loss — a smaller set would be rank-deficient.
-  const dcsim::ScenarioSet set = scenario_set_of(200, 3);
-  FlareConfig config = faulty_config(0.0, 1);  // clean
-  FlarePipeline clean(config);
-  clean.fit(set);
-
-  FlareConfig degraded_config = faulty_config(0.05, 99);
-  degraded_config.profiler.faults.row_loss_rate = 0.25;
-  FlarePipeline degraded(degraded_config);
-  degraded.fit(set);
-
-  if (degraded.analysis().quarantine.quarantined_rows.empty()) {
-    GTEST_SKIP() << "seed produced no quarantine; nothing to distinguish";
-  }
-  EXPECT_NE(clean.analysis().fingerprints.raw,
-            degraded.analysis().fingerprints.raw);
-}
-
 TEST(FaultAcceptance, FullQuarantineThrowsQuarantineError) {
   FlareConfig config = testing::small_flare_config();
   config.profiler.faults.enabled = true;

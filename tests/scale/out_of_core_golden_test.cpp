@@ -4,11 +4,7 @@
 // kernels (DESIGN.md §7) replaced the pass-1 comoment loop and the pass-2
 // projection loop. Any change to those kernels that moves a single bit of
 // the moments, the PCA, the cluster space, the assignment, the
-// representatives or the weights fails here. The fingerprints are left out:
-// a streamed result carries zero (never-reusable) fingerprints, which
-// OutOfCoreTest.FingerprintsNeverSpliceWithInRamLineage pins. The constant
-// below hashes every other field and was captured with the same code as the
-// earlier constant that also hashed the fingerprints.
+// representatives or the weights fails here.
 //
 // The store has 12 621 rows (above the 8192-row minibatch threshold, so
 // kAuto takes the coreset path) and 61 metrics (not a multiple of the

@@ -293,21 +293,6 @@ TEST(ParallelShards, PoolFittingIsBitIdenticalToSerial) {
   EXPECT_EQ(ea.impact_pct, eb.impact_pct);
 }
 
-TEST(LineageTags, ShardsGetDistinctNonzeroTags) {
-  ShardedPipeline& pipeline = testing::fitted_two_shape_pipeline();
-  ASSERT_EQ(pipeline.num_shards(), 2u);
-  const std::uint64_t a = pipeline.shard_lineage_tag(0);
-  const std::uint64_t b = pipeline.shard_lineage_tag(1);
-  EXPECT_NE(a, 0u);
-  EXPECT_NE(b, 0u);
-  EXPECT_NE(a, b);
-  // Same name at a different table index is a different lineage — and the
-  // derivation is a pure function of (name, index).
-  EXPECT_EQ(ShardedPipeline::lineage_tag_for("default", 0), a);
-  EXPECT_NE(ShardedPipeline::lineage_tag_for("default", 1), a);
-  EXPECT_NE(ShardedPipeline::lineage_tag_for("small", 0), a);
-}
-
 TEST(ShardedConfigValidation, RejectsDegenerateFleets) {
   ShardedConfig empty;
   empty.base = testing::shard_flare_config();
