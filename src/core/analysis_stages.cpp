@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "core/analyzer.hpp"
 #include "ml/cluster_quality.hpp"
@@ -375,7 +376,12 @@ void absorb_rows(AnalysisResult& analysis, const linalg::Matrix& projected,
 
   // Refresh the cluster observation weights over the combined population.
   double total = 0.0;
-  for (const double w : combined_weights) {
+  for (std::size_t i = 0; i < combined_weights.size(); ++i) {
+    const double w = combined_weights[i];
+    if (!std::isfinite(w)) {
+      throw FaultError("stages::absorb_rows: non-finite weight at row " +
+                       std::to_string(i));
+    }
     ensure(w >= 0.0, "stages::absorb_rows: weights must be non-negative");
     total += w;
   }

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -24,26 +25,54 @@ struct StreamedMoments {
   linalg::Matrix comoment;
 };
 
-void fold_block(StreamedMoments& m, const linalg::Matrix& values,
-                util::ThreadPool* pool) {
-  const std::size_t rows = values.rows();
-  const std::size_t d = values.cols();
-  std::vector<double> block_mean(d, 0.0);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::span<const double> row = values.row(r);
-    for (std::size_t c = 0; c < d; ++c) {
-      block_mean[c] += row[c];
-      m.lo[c] = std::min(m.lo[c], row[c]);
-      m.hi[c] = std::max(m.hi[c], row[c]);
+/// Sums and extrema of the block's columns [c0, c0 + Lanes): each column
+/// sums its rows in order from 0.0, and the Lanes independent add chains
+/// overlap instead of one latency-bound chain per column.
+template <std::size_t Lanes>
+void column_stats(const metrics::BlockView& block, std::size_t c0,
+                  StreamedMoments& m, double* sums) {
+  const double* x[Lanes];
+  double sum[Lanes], lo[Lanes], hi[Lanes];
+  for (std::size_t l = 0; l < Lanes; ++l) {
+    x[l] = block.column(c0 + l).data();
+    sum[l] = 0.0;
+    lo[l] = m.lo[c0 + l];
+    hi[l] = m.hi[c0 + l];
+  }
+  for (std::size_t r = 0; r < block.rows; ++r) {
+    for (std::size_t l = 0; l < Lanes; ++l) {
+      sum[l] += x[l][r];
+      lo[l] = std::min(lo[l], x[l][r]);
+      hi[l] = std::max(hi[l], x[l][r]);
     }
   }
+  for (std::size_t l = 0; l < Lanes; ++l) {
+    sums[c0 + l] = sum[l];
+    m.lo[c0 + l] = lo[l];
+    m.hi[c0 + l] = hi[l];
+  }
+}
+
+/// Folds one column-major block of every store column into the moments.
+void fold_block(StreamedMoments& m, const metrics::BlockView& block,
+                util::ThreadPool* pool) {
+  const std::size_t rows = block.rows;
+  const std::size_t d = block.num_columns;
+  std::vector<double> block_mean(d);
+  constexpr std::size_t kLanes = 4;
+  std::size_t c = 0;
+  for (; c + kLanes <= d; c += kLanes) {
+    column_stats<kLanes>(block, c, m, block_mean.data());
+  }
+  for (; c < d; ++c) column_stats<1>(block, c, m, block_mean.data());
   for (double& v : block_mean) v /= static_cast<double>(rows);
 
   // Block comoment from the shared cross-product kernel (bit-identical for
   // any thread count, the repo-wide contract), then the Chan merge into the
   // running moments.
-  const linalg::Matrix block_comoment =
-      linalg::centered_cross_products(values, block_mean, pool);
+  const linalg::Matrix block_comoment = linalg::centered_cross_products(
+      linalg::StridedView{block.values, rows, d, 1, block.stride}, block_mean,
+      pool);
   const double n1 = static_cast<double>(m.count);
   const double n2 = static_cast<double>(rows);
   const double n = n1 + n2;
@@ -97,11 +126,11 @@ AnalysisResult analyze_out_of_core(const metrics::ColumnStore& store,
   moments.comoment = linalg::Matrix(d, d);
   std::vector<double> weights;
   weights.reserve(n);
-  store.for_each_block([&](std::size_t /*first_row*/,
-                           const linalg::Matrix& values,
-                           std::span<const double> w) {
-    fold_block(moments, values, pool);
-    weights.insert(weights.end(), w.begin(), w.end());
+  std::vector<std::size_t> all_columns(d);
+  std::iota(all_columns.begin(), all_columns.end(), std::size_t{0});
+  store.for_each_block(all_columns, [&](const metrics::BlockView& block) {
+    fold_block(moments, block, pool);
+    weights.insert(weights.end(), block.weights.begin(), block.weights.end());
     ++tel.blocks_streamed;
   });
   ++tel.passes;
@@ -191,16 +220,36 @@ AnalysisResult analyze_out_of_core(const metrics::ColumnStore& store,
         std::to_string(options.memory_budget_bytes) + " bytes");
   }
 
-  // ---- Pass 2: project every block into the score matrix ----
+  // ---- Pass 2: project every block into the score matrix. Only the kept
+  // columns are read; each is standardised straight from the block with
+  // Standardizer::transform's expression into the rows × kept input of
+  // Pca::transform. ----
   linalg::Matrix scores(n, result.num_components);
-  store.for_each_block([&](std::size_t first_row, const linalg::Matrix& values,
-                           std::span<const double> /*w*/) {
-    const linalg::Matrix block_scores = result.pca.transform(
-        result.standardizer.transform(
-            values.select_columns(result.kept_columns)),
-        result.num_components);
+  linalg::Matrix standardized;
+  const std::vector<double>& kept_means = result.standardizer.means();
+  const std::vector<double>& kept_scales = result.standardizer.scales();
+  store.for_each_block(result.kept_columns, [&](const metrics::BlockView& block) {
+    if (standardized.rows() != block.rows) {
+      standardized = linalg::Matrix(block.rows, kept);
+    }
+    // 64 rows at a time, so the strided writes of each column land in an
+    // L1-sized slice of the output.
+    constexpr std::size_t kRowSlice = 64;
+    for (std::size_t r0 = 0; r0 < block.rows; r0 += kRowSlice) {
+      const std::size_t r1 = std::min(block.rows, r0 + kRowSlice);
+      for (std::size_t k = 0; k < kept; ++k) {
+        const double* x = block.column(k).data();
+        const double mean = kept_means[k];
+        const double scale = kept_scales[k];
+        for (std::size_t r = r0; r < r1; ++r) {
+          standardized(r, k) = (x[r] - mean) / scale;
+        }
+      }
+    }
+    const linalg::Matrix block_scores =
+        result.pca.transform(standardized, result.num_components);
     for (std::size_t r = 0; r < block_scores.rows(); ++r) {
-      scores.set_row(first_row + r, block_scores.row(r));
+      scores.set_row(block.first_row + r, block_scores.row(r));
     }
     ++tel.blocks_streamed;
   });

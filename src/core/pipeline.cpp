@@ -4,6 +4,7 @@
 
 #include "ml/impute.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace flare::core {
 
@@ -184,6 +185,16 @@ IngestReport FlarePipeline::ingest(const dcsim::ScenarioSet& batch,
                                    RefitPolicy policy) {
   ensure(fitted(), "FlarePipeline::ingest: call fit() first");
   ensure(!batch.scenarios.empty(), "FlarePipeline::ingest: empty batch");
+  // A NaN, infinite or negative weight would turn every refreshed cluster
+  // weight into NaN; refuse it before any profiling work.
+  for (std::size_t i = 0; i < batch.scenarios.size(); ++i) {
+    const double w = batch.scenarios[i].observation_weight;
+    if (!std::isfinite(w) || w < 0.0) {
+      throw FaultError("FlarePipeline::ingest: batch row " + std::to_string(i) +
+                       " has weight " + util::format_double_exact(w) +
+                       " — weights must be finite and non-negative");
+    }
+  }
 
   // Re-id the batch so it continues the fitted population's dense indexing
   // (batch ids are whatever the collector used; row index is what matters).

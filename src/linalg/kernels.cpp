@@ -49,10 +49,11 @@ void tile_update(const double* a, const double* b, std::size_t rows,
 /// (row-major, Tile-wide operand groups, the contract of tile_update).
 template <std::size_t Tile,
           void (*Update)(const double*, const double*, std::size_t, double*)>
-Matrix tiled_cross_products(const Matrix& data, std::span<const double> means,
+Matrix tiled_cross_products(const StridedView& data,
+                            std::span<const double> means,
                             util::ThreadPool* pool) {
-  const std::size_t n = data.rows();
-  const std::size_t d = data.cols();
+  const std::size_t n = data.rows;
+  const std::size_t d = data.cols;
   ensure(means.size() == d, "centered_cross_products: means size mismatch");
   const std::size_t tiles = (d + Tile - 1) / Tile;
   constexpr std::size_t kTileSlots = Tile * Tile;
@@ -64,16 +65,23 @@ Matrix tiled_cross_products(const Matrix& data, std::span<const double> means,
 
   // Group g of the panel holds columns [Tile·g, Tile·g + Tile) of every
   // centred row of the chunk, Tile contiguous doubles per row, zero past
-  // column d.
+  // column d. Packing walks a group row by row, so a row-major input reads
+  // Tile contiguous values per row and a column-major one Tile sequential
+  // column streams.
   std::vector<double> panel(tiles * kRowChunk * Tile);
-  const double* values = data.data().data();
   for (std::size_t r0 = 0; r0 < n; r0 += kRowChunk) {
     const std::size_t rows = std::min(kRowChunk, n - r0);
-    for (std::size_t r = 0; r < rows; ++r) {
-      const double* row = values + (r0 + r) * d;
-      for (std::size_t c = 0; c < tiles * Tile; ++c) {
-        panel[((c / Tile) * rows + r) * Tile + c % Tile] =
-            c < d ? row[c] - means[c] : 0.0;
+    for (std::size_t g = 0; g < tiles; ++g) {
+      const std::size_t c0 = g * Tile;
+      const std::size_t width = std::min(Tile, d - c0);
+      double* dst = panel.data() + g * rows * Tile;
+      for (std::size_t r = 0; r < rows; ++r) {
+        const double* row =
+            data.data + (r0 + r) * data.row_stride + c0 * data.col_stride;
+        for (std::size_t x = 0; x < width; ++x) {
+          dst[r * Tile + x] = row[x * data.col_stride] - means[c0 + x];
+        }
+        for (std::size_t x = width; x < Tile; ++x) dst[r * Tile + x] = 0.0;
       }
     }
     util::maybe_parallel_for(pool, tiles, [&](std::size_t ti) {
@@ -210,13 +218,13 @@ bool avx512f_available() {
 #endif
 }
 
-Matrix centered_cross_products_baseline(const Matrix& data,
+Matrix centered_cross_products_baseline(const StridedView& data,
                                         std::span<const double> means,
                                         util::ThreadPool* pool) {
   return tiled_cross_products<kTile, tile_update>(data, means, pool);
 }
 
-Matrix centered_cross_products_avx512f(const Matrix& data,
+Matrix centered_cross_products_avx512f(const StridedView& data,
                                        std::span<const double> means,
                                        util::ThreadPool* pool) {
   ensure(avx512f_available(), "centered_cross_products: no AVX-512F");
@@ -275,12 +283,22 @@ Matrix centered_product_avx512f(const Matrix& a,
 
 }  // namespace detail
 
-Matrix centered_cross_products(const Matrix& data,
+StridedView row_major(const Matrix& m) {
+  return {m.data().data(), m.rows(), m.cols(), m.cols(), 1};
+}
+
+Matrix centered_cross_products(const StridedView& data,
                                std::span<const double> means,
                                util::ThreadPool* pool) {
   return detail::avx512f_available()
              ? detail::centered_cross_products_avx512f(data, means, pool)
              : detail::centered_cross_products_baseline(data, means, pool);
+}
+
+Matrix centered_cross_products(const Matrix& data,
+                               std::span<const double> means,
+                               util::ThreadPool* pool) {
+  return centered_cross_products(row_major(data), means, pool);
 }
 
 Matrix centered_product(const Matrix& a, std::span<const double> centre,

@@ -21,17 +21,38 @@
 
 namespace flare::linalg {
 
+/// A read-only rows × cols matrix in any layout: element (r, c) is
+/// data[r · row_stride + c · col_stride]. A Matrix is the row-major
+/// instance (row_stride = cols, col_stride = 1); a column store block is
+/// column-major (row_stride = 1, col_stride = the column pitch).
+struct StridedView {
+  const double* data = nullptr;
+  std::size_t rows = 0;
+  std::size_t cols = 0;
+  std::size_t row_stride = 0;
+  std::size_t col_stride = 0;
+};
+
+/// The row-major view of `m`.
+[[nodiscard]] StridedView row_major(const Matrix& m);
+
 /// Centred cross-products (a tiled SYRK):
 ///   S(i, j) = Σ_r (data(r, i) − means[i]) · (data(r, j) − means[j]),
 /// each slot summed over rows in ascending order starting from 0.0. The
 /// result is symmetric (the lower triangle mirrors the upper). Rows are
 /// centred once, 256 at a time, into a zero-padded panel of 4-column groups
-/// (8-column with AVX-512F); the upper triangle accumulates in 4 × 4 SSE2
-/// register tiles (8 × 8 in 8 zmm registers) while each chunk streams past.
-/// Tasks own whole tile-rows of the output, so `pool` changes no bit.
+/// (8-column with AVX-512F), read through the view's two strides, so a
+/// row-major and a column-major input give the same bits; the upper
+/// triangle accumulates in 4 × 4 SSE2 register tiles (8 × 8 in 8 zmm
+/// registers) while each chunk streams past. Tasks own whole tile-rows of
+/// the output, so `pool` changes no bit.
 /// Callers: covariance_matrix (means = column means), the out-of-core
-/// comoment fold (block means), TrackedPca::fold's Gram matrix and the drift
-/// residual's RᵀR (means = 0).
+/// comoment fold (a column-major block, block means), TrackedPca::fold's
+/// Gram matrix and the drift residual's RᵀR (means = 0).
+[[nodiscard]] Matrix centered_cross_products(const StridedView& data,
+                                             std::span<const double> means,
+                                             util::ThreadPool* pool = nullptr);
+/// The row-major instance: centered_cross_products(row_major(data), ...).
 [[nodiscard]] Matrix centered_cross_products(const Matrix& data,
                                              std::span<const double> means,
                                              util::ThreadPool* pool = nullptr);
@@ -59,10 +80,10 @@ namespace detail {
 /// std::invalid_argument unless avx512f_available().
 [[nodiscard]] bool avx512f_available();
 [[nodiscard]] Matrix centered_cross_products_baseline(
-    const Matrix& data, std::span<const double> means,
+    const StridedView& data, std::span<const double> means,
     util::ThreadPool* pool = nullptr);
 [[nodiscard]] Matrix centered_cross_products_avx512f(
-    const Matrix& data, std::span<const double> means,
+    const StridedView& data, std::span<const double> means,
     util::ThreadPool* pool = nullptr);
 [[nodiscard]] Matrix centered_product_baseline(
     const Matrix& a, std::span<const double> centre, const Matrix& b,

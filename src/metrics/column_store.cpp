@@ -1,7 +1,9 @@
 #include "metrics/column_store.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 
 #include "util/error.hpp"
@@ -241,8 +243,14 @@ ColumnStore::ColumnStore(const std::string& path, const MetricCatalog& catalog,
     }
     info.first_row = read_pod<std::uint64_t>(base, map_size_, body, path_);
     info.rows = read_pod<std::uint64_t>(base, map_size_, body + 8, path_);
+    // Every row carries an id, a weight, num_metrics values and a key
+    // length, so a row count the payload cannot hold is corrupt too.
     if (info.first_row != num_rows_ || info.rows == 0 ||
-        info.rows > block_rows_) {
+        info.rows > block_rows_ ||
+        (info.payload - 2 * sizeof(std::uint64_t)) /
+                (2 * sizeof(std::uint64_t) + sizeof(std::uint32_t) +
+                 num_metrics_ * sizeof(double)) <
+            info.rows) {
       throw ParseError("ColumnStore: corrupt block directory in " + path_);
     }
     num_rows_ += info.rows;
@@ -281,10 +289,9 @@ void ColumnStore::decode_block(std::size_t block_index, DecodedBlock& out) const
   out.weights.resize(info.rows);
   std::memcpy(out.weights.data(), base + offset, info.rows * sizeof(double));
   offset += info.rows * sizeof(double);
-  // Transpose the column-major payload into a row-major scratch matrix.
-  if (out.values.rows() != info.rows || out.values.cols() != num_metrics_) {
-    out.values = linalg::Matrix(info.rows, num_metrics_);
-  }
+  // Transpose the column-major payload into the row-major matrix row()
+  // reads.
+  out.values = linalg::Matrix(info.rows, num_metrics_);
   std::vector<double> column(info.rows);
   for (std::size_t c = 0; c < num_metrics_; ++c) {
     std::memcpy(column.data(), base + offset, info.rows * sizeof(double));
@@ -307,22 +314,51 @@ void ColumnStore::decode_block(std::size_t block_index, DecodedBlock& out) const
 }
 
 void ColumnStore::for_each_block(
-    const std::function<void(std::size_t, const linalg::Matrix&,
-                             std::span<const double>)>& visit) const {
-  DecodedBlock scratch;
+    std::span<const std::size_t> columns,
+    const std::function<void(const BlockView&)>& visit) const {
+  for (const std::size_t c : columns) {
+    ensure(c < num_metrics_, "ColumnStore::for_each_block: column out of range");
+  }
+  std::size_t max_rows = 0;
+  for (const BlockInfo& info : blocks_) max_rows = std::max(max_rows, info.rows);
+  // One scratch for every block: the columns, then the weights, each on a
+  // 64-byte boundary (stride is a multiple of 8 doubles).
+  const std::size_t stride = (max_rows + 7) / 8 * 8;
+  const std::size_t scratch_doubles = (columns.size() + 1) * stride;
+  std::vector<double> buffer(scratch_doubles + 7);
+  void* aligned = buffer.data();
+  std::size_t space = buffer.size() * sizeof(double);
+  double* const scratch =
+      static_cast<double*>(std::align(64, scratch_doubles * sizeof(double),
+                                      aligned, space));
+  double* const weights = scratch + columns.size() * stride;
+  const std::byte* base = bytes();
   for (std::size_t b = 0; b < blocks_.size(); ++b) {
-    decode_block(b, scratch);
-    visit(blocks_[b].first_row, scratch.values,
-          std::span<const double>(scratch.weights));
+    const BlockInfo& info = blocks_[b];
+    const std::size_t column_bytes = info.rows * sizeof(double);
+    // Skip the block header and the ids.
+    const std::byte* block_weights =
+        base + info.offset + 3 * sizeof(std::uint64_t) + column_bytes;
+    const std::byte* block_values = block_weights + column_bytes;
+    std::memcpy(weights, block_weights, column_bytes);
+    for (std::size_t k = 0; k < columns.size(); ++k) {
+      std::memcpy(scratch + k * stride,
+                  block_values + columns[k] * column_bytes, column_bytes);
+    }
+    visit(BlockView{info.first_row, info.rows, columns.size(), stride,
+                    scratch, std::span<const double>(weights, info.rows)});
 #if FLARE_HAVE_MMAP
     if (mapped_ && options_.sequential_drop) {
-      // Release fully consumed pages behind the cursor: round the block's
-      // byte range down/up to page boundaries and drop whole pages only.
+      // Release fully consumed pages behind the cursor: whole pages only,
+      // from the previous block's start, because the kernel's fault-around
+      // maps the previous block's tail again when this block's first
+      // column is read.
       const long page = ::sysconf(_SC_PAGESIZE);
       if (page > 0) {
         const std::size_t p = static_cast<std::size_t>(page);
-        const std::size_t lo = (blocks_[b].offset / p) * p;
-        const std::size_t end = blocks_[b].offset + 8 + blocks_[b].payload;
+        const std::size_t from = b == 0 ? info.offset : blocks_[b - 1].offset;
+        const std::size_t lo = from / p * p;
+        const std::size_t end = info.offset + 8 + info.payload;
         const std::size_t hi = (end / p) * p;
         if (hi > lo) {
           ::madvise(static_cast<std::byte*>(map_) + lo, hi - lo,

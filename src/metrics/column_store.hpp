@@ -5,8 +5,9 @@
 // production fleet accumulates. ColumnStore is the mmap-backed alternative:
 // rows live in a single append-only binary file as fixed-capacity *blocks*
 // (columnar within each block), the OS pages data in on demand, and the
-// analysis stages stream blocks through a reusable scratch matrix instead of
-// ever materialising the n × d dense matrix.
+// analysis stages stream blocks column-major — only the columns they read —
+// through one reusable scratch instead of ever materialising the n × d
+// dense matrix.
 //
 // File layout (host-endian, like every other FLARE binary artifact):
 //
@@ -25,10 +26,14 @@
 // at open, which keeps journal rollback a pure truncate.
 //
 // Random row access (representative lookups) goes through a small fixed-size
-// LRU of decoded blocks; bulk reads (`for_each_block`) bypass the cache and
-// decode into one reusable scratch buffer. With `sequential_drop`, consumed
-// pages are madvise(MADV_DONTNEED)'d behind the streaming cursor so peak RSS
-// stays bounded by a few blocks regardless of n.
+// LRU of blocks decoded row-major with their ids and keys. Bulk reads
+// (`for_each_block`) bypass the cache: each requested column is one memcpy
+// out of the block into an aligned scratch (a block starts at whatever
+// offset the variable-length keys before it leave, so no double is ever
+// read in place from the mapping), and ids and keys are skipped. With
+// `sequential_drop`, consumed pages are madvise(MADV_DONTNEED)'d behind the
+// streaming cursor so peak RSS stays bounded by a few blocks regardless of
+// n.
 #pragma once
 
 #include <cstdint>
@@ -68,6 +73,22 @@ void create_column_store(const std::string& path, const MetricCatalog& catalog,
 void append_column_store_rows(const std::string& path,
                               const MetricDatabase& batch);
 
+/// One streamed block of ColumnStore::for_each_block, column-major: rows
+/// [first_row, first_row + rows) of the requested columns. Column k (in
+/// request order) is the `rows` doubles at values + k · stride.
+struct BlockView {
+  std::size_t first_row = 0;
+  std::size_t rows = 0;
+  std::size_t num_columns = 0;
+  std::size_t stride = 0;  ///< doubles from one column's start to the next
+  const double* values = nullptr;
+  std::span<const double> weights;
+
+  [[nodiscard]] std::span<const double> column(std::size_t k) const {
+    return {values + k * stride, rows};
+  }
+};
+
 /// Read-only view of a column store file.
 class ColumnStore {
  public:
@@ -90,14 +111,15 @@ class ColumnStore {
   [[nodiscard]] const std::string& path() const { return path_; }
   [[nodiscard]] bool mapped() const { return mapped_; }
 
-  /// Streams every block in row order as a row-major rows × num_metrics
-  /// matrix plus the per-row observation weights. The matrix and span are
-  /// only valid inside the callback (one scratch buffer is reused). With
-  /// `sequential_drop`, pages behind the cursor are released as they are
-  /// consumed.
-  void for_each_block(
-      const std::function<void(std::size_t first_row, const linalg::Matrix& values,
-                               std::span<const double> weights)>& visit) const;
+  /// Streams every block in row order, column-major: the view holds the
+  /// block's rows of `columns` (store column indices, in the order given,
+  /// repeats allowed) and its observation weights. Each column is copied
+  /// with one memcpy into a 64-byte-aligned scratch reused across blocks;
+  /// ids and keys are not decoded. The view is only valid inside the
+  /// callback. With `sequential_drop`, pages behind the cursor are released
+  /// as they are consumed.
+  void for_each_block(std::span<const std::size_t> columns,
+                      const std::function<void(const BlockView&)>& visit) const;
 
   /// Random row access through the decoded-block LRU (representative
   /// scenario lookups). Not thread-safe — the cache mutates.

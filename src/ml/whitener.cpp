@@ -1,6 +1,8 @@
 #include "ml/whitener.hpp"
 
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "linalg/covariance.hpp"
 #include "util/error.hpp"
@@ -14,14 +16,19 @@ void Whitener::fit(const linalg::Matrix& scores) {
                  "variances are not identifiable from a rank-deficient score "
                  "matrix; reduce components or collect more rows");
   means_ = linalg::column_means(scores);
+  // One row-major pass, one accumulator per column: each column still sums
+  // its rows in order from 0.0.
+  std::vector<double> sum_sq(scores.cols(), 0.0);
+  for (std::size_t r = 0; r < scores.rows(); ++r) {
+    const std::span<const double> row = scores.row(r);
+    for (std::size_t c = 0; c < scores.cols(); ++c) {
+      const double d = row[c] - means_[c];
+      sum_sq[c] += d * d;
+    }
+  }
   scales_.assign(scores.cols(), 1.0);
   for (std::size_t c = 0; c < scores.cols(); ++c) {
-    double sum_sq = 0.0;
-    for (std::size_t r = 0; r < scores.rows(); ++r) {
-      const double d = scores(r, c) - means_[c];
-      sum_sq += d * d;
-    }
-    const double sd = std::sqrt(sum_sq / static_cast<double>(scores.rows() - 1));
+    const double sd = std::sqrt(sum_sq[c] / static_cast<double>(scores.rows() - 1));
     scales_[c] = sd > 0.0 ? sd : 1.0;
   }
 }

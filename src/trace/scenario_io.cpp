@@ -1,6 +1,7 @@
 #include "trace/scenario_io.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -119,10 +120,11 @@ dcsim::ScenarioSet parse_scenario_lines(
                        s.machine_type + "'");
     }
     s.observation_weight = parse_csv_double(fields[2], path, line_no);
-    if (s.observation_weight < 0.0) {
+    if (!std::isfinite(s.observation_weight) || s.observation_weight < 0.0) {
       throw ParseError("load_scenario_set: " + path + ":" +
                        std::to_string(line_no) +
-                       ": negative weight — offending token '" + fields[2] + "'");
+                       ": weight must be finite and non-negative — offending "
+                       "token '" + fields[2] + "'");
     }
     try {
       s.mix = dcsim::JobMix::from_key(fields[3]);

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 namespace flare::cli {
 namespace {
@@ -63,6 +65,43 @@ TEST_F(CliWorkflowTest, SimulateProfileAnalyzeEvaluate) {
             0);
   EXPECT_NE(out.find("FLARE estimate"), std::string::npos);
   EXPECT_NE(out.find("full-datacenter truth"), std::string::npos);
+}
+
+// A trace with a NaN or infinite weight is a usage error (exit 2) naming
+// the line and token, never a "-nan%" estimate with exit 0.
+TEST_F(CliWorkflowTest, EvaluateRefusesNonFiniteWeights) {
+  ASSERT_EQ(run({"simulate", "--out", scenarios_.c_str(), "--scenarios", "60"}),
+            0);
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(scenarios_);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  ASSERT_GT(lines.size(), 3u);
+  for (const std::string token : {"nan", "inf", "-inf"}) {
+    {
+      std::ofstream out(scenarios_);
+      for (std::size_t i = 0; i < lines.size(); ++i) {
+        std::string line = lines[i];
+        if (i == 3) {  // third data row: replace observation_weight
+          const std::size_t a = line.find(',', line.find(',') + 1);
+          const std::size_t b = line.find(',', a + 1);
+          line = line.substr(0, a + 1) + token + line.substr(b);
+        }
+        out << line << '\n';
+      }
+    }
+    std::string err;
+    EXPECT_EQ(run({"evaluate", "--scenarios", scenarios_.c_str(), "--feature",
+                   "feature2", "--clusters", "5"},
+                  nullptr, &err),
+              2)
+        << token;
+    EXPECT_NE(err.find(":4: weight must be finite and non-negative — "
+                       "offending token '" + token + "'"),
+              std::string::npos)
+        << err;
+  }
 }
 
 TEST_F(CliWorkflowTest, EvaluateWithCustomKnobsAndPerJob) {

@@ -246,6 +246,37 @@ TEST(AnalyzerRecluster, ValidatesWeights) {
   }
 }
 
+// stages::absorb_rows (the kValid/kReweight ingest path) applies the same
+// weight contract as recluster.
+TEST(AnalyzerAbsorbRows, ValidatesWeights) {
+  const AnalysisResult& base = testing::fitted_pipeline().analysis();
+  const std::size_t n = base.cluster_space.rows();
+  const linalg::Matrix fresh =
+      base.cluster_space.select_rows(std::vector<std::size_t>{0, 1});
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    AnalysisResult analysis = base;
+    std::vector<double> weights(n + 2, 1.0);
+    weights[n + 1] = bad;
+    try {
+      stages::absorb_rows(analysis, fresh, weights,
+                          /*refresh_representatives=*/false);
+      ADD_FAILURE() << "non-finite weight " << bad << " was accepted";
+    } catch (const FaultError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "stages::absorb_rows: non-finite weight at row " +
+                    std::to_string(n + 1)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  AnalysisResult analysis = base;
+  std::vector<double> negative(n + 2, 1.0);
+  negative[0] = -1.0;
+  EXPECT_THROW(stages::absorb_rows(analysis, fresh, negative, false),
+               std::invalid_argument);
+}
+
 TEST(AnalyzerSuggestK, FindsTheSseElbow) {
   // Steep SSE drop until k=6, then flat; silhouette flat. The Fig. 9
   // "diminishing returns" rule should land at (or just past) the elbow.

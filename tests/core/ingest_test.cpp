@@ -6,11 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <string>
 
 #include "core/pipeline.hpp"
 #include "tests/core/test_env.hpp"
 #include "tests/util/property.hpp"
+#include "util/error.hpp"
 
 namespace flare::core {
 namespace {
@@ -351,6 +354,35 @@ TEST(PipelineIngest, ValidatesItsInputs) {
   EXPECT_THROW(unfitted.ingest(make_batch(5, 1)), std::invalid_argument);
   const auto pipeline = fitted_with(always_valid());
   EXPECT_THROW(pipeline->ingest(dcsim::ScenarioSet{}), std::invalid_argument);
+}
+
+// A NaN, infinite or negative batch weight is refused before profiling,
+// under every policy, with a FaultError naming the row; the fitted state is
+// untouched, so a clean batch still ingests afterwards.
+TEST(PipelineIngest, RejectsNonFiniteOrNegativeBatchWeights) {
+  const auto pipeline = fitted_with(always_valid());
+  const std::size_t base_rows = pipeline->scenario_set().size();
+  for (const RefitPolicy policy :
+       {RefitPolicy::kNever, RefitPolicy::kAuto, RefitPolicy::kAlways}) {
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(), -1.0}) {
+      dcsim::ScenarioSet batch = make_batch(20, 99);
+      batch.scenarios[7].observation_weight = bad;
+      try {
+        (void)pipeline->ingest(batch, policy);
+        ADD_FAILURE() << "weight " << bad << " was accepted";
+      } catch (const FaultError& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "FlarePipeline::ingest: batch row 7 has weight"),
+                  std::string::npos)
+            << e.what();
+      }
+      EXPECT_EQ(pipeline->scenario_set().size(), base_rows);
+    }
+  }
+  (void)pipeline->ingest(make_batch(20, 99), RefitPolicy::kNever);
+  expect_consistent_population(*pipeline);
 }
 
 }  // namespace

@@ -7,8 +7,9 @@
 // underflow), huge (1e300: products overflow) or of mixed magnitude, and on a
 // 4-thread pool against inline execution. The public kernels run whichever
 // variant the CPU selects; the KernelVariants suite drives the baseline and
-// the AVX-512F variant directly over every tile and chunk edge, and skips the
-// AVX-512F one on a CPU without it.
+// the AVX-512F variant directly over every tile and chunk edge, with the
+// cross-products input both row-major and column-major (a column store
+// block's layout), and skips the AVX-512F one on a CPU without it.
 //
 // Labelled `property` (ctest -L property); the nightly job re-runs it at 10×
 // trials under a fresh FLARE_PROPERTY_BASE_SEED.
@@ -278,7 +279,7 @@ TEST(CenteredProductKernel, MatchesNaiveMultiplyAndProjection) {
 struct Variant {
   const char* name;
   bool available;
-  Matrix (*cross_products)(const Matrix&, std::span<const double>,
+  Matrix (*cross_products)(const StridedView&, std::span<const double>,
                            util::ThreadPool*);
   Matrix (*product)(const Matrix&, std::span<const double>, const Matrix&,
                     std::size_t, util::ThreadPool*);
@@ -333,10 +334,44 @@ TEST_P(KernelVariant, CrossProductsMatchNaiveLoopAtEveryEdge) {
       const Matrix x = draw_matrix(rng, rows, d, draw_regime(rng));
       const std::vector<double> means = column_means(x);
       const Matrix want = naive_cross_products(x, means);
-      expect_bit_identical(v.cross_products(x, means, nullptr), want,
-                           "cross-products");
-      expect_bit_identical(v.cross_products(x, means, &pool), want,
+      expect_bit_identical(v.cross_products(row_major(x), means, nullptr),
+                           want, "cross-products");
+      expect_bit_identical(v.cross_products(row_major(x), means, &pool), want,
                            "cross-products on 4 threads");
+      if (HasFailure()) return;
+    }
+  }
+}
+
+// A column store block's layout: x column-major, each column `pitch`
+// doubles after the previous one (pitch ≥ rows; the gap is NaN so a read
+// past a column's rows would show).
+std::vector<double> column_major(const Matrix& x, std::size_t pitch) {
+  std::vector<double> out(x.cols() * pitch, std::nan(""));
+  for (std::size_t c = 0; c < x.cols(); ++c) {
+    for (std::size_t r = 0; r < x.rows(); ++r) out[c * pitch + r] = x(r, c);
+  }
+  return out;
+}
+
+// Packing reads through the view's strides, so a column-major input packs
+// the same x − mean as the row-major one and gives the naive loop's bits.
+TEST_P(KernelVariant, ColumnMajorCrossProductsMatchNaiveLoopAtEveryEdge) {
+  const Variant& v = GetParam();
+  util::ThreadPool pool(4);
+  stats::Rng rng(0xC01A7ull);
+  for (const std::size_t d : edge_widths()) {
+    for (const std::size_t rows : edge_rows()) {
+      const Matrix x = draw_matrix(rng, rows, d, draw_regime(rng));
+      const std::vector<double> means = column_means(x);
+      const Matrix want = naive_cross_products(x, means);
+      const std::size_t pitch = (rows + 7) / 8 * 8 + rows % 3;
+      const std::vector<double> buffer = column_major(x, pitch);
+      const StridedView view{buffer.data(), rows, d, 1, pitch};
+      expect_bit_identical(v.cross_products(view, means, nullptr), want,
+                           "column-major cross-products");
+      expect_bit_identical(v.cross_products(view, means, &pool), want,
+                           "column-major cross-products on 4 threads");
       if (HasFailure()) return;
     }
   }
@@ -387,7 +422,7 @@ TEST_P(KernelVariant, SeparateMultiplyAndAddNeverFuse) {
     x(1, c) = c < d / 2 ? kU : kV;
   }
   const std::vector<double> zeros(d, 0.0);
-  const Matrix s = v.cross_products(x, zeros, nullptr);
+  const Matrix s = v.cross_products(row_major(x), zeros, nullptr);
   expect_bit_identical(s, naive_cross_products(x, zeros), "cross-products");
   for (std::size_t i = 0; i < d / 2; ++i) {
     for (std::size_t j = d / 2; j < d; ++j) EXPECT_EQ(s(i, j), 0.0);

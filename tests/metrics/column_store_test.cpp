@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -117,19 +119,88 @@ TEST_F(ColumnStoreTest, ForEachBlockStreamsInRowOrder) {
   const ColumnStore store(path_, catalog_);
   const linalg::Matrix expect = db.to_matrix();
   std::size_t next_row = 0;
-  store.for_each_block([&](std::size_t first_row, const linalg::Matrix& values,
-                           std::span<const double> weights) {
-    EXPECT_EQ(first_row, next_row);
-    ASSERT_EQ(values.rows(), weights.size());
-    for (std::size_t r = 0; r < values.rows(); ++r) {
-      EXPECT_EQ(weights[r], db.row(first_row + r).observation_weight);
-      for (std::size_t c = 0; c < values.cols(); ++c) {
-        EXPECT_EQ(values(r, c), expect(first_row + r, c));
+  store.for_each_block(testing::all_store_columns(store),
+                       [&](const BlockView& block) {
+    EXPECT_EQ(block.first_row, next_row);
+    ASSERT_EQ(block.rows, block.weights.size());
+    ASSERT_EQ(block.num_columns, catalog_.size());
+    for (std::size_t r = 0; r < block.rows; ++r) {
+      EXPECT_EQ(block.weights[r],
+                db.row(block.first_row + r).observation_weight);
+      for (std::size_t c = 0; c < block.num_columns; ++c) {
+        EXPECT_EQ(block.column(c)[r], expect(block.first_row + r, c));
       }
     }
-    next_row += values.rows();
+    next_row += block.rows;
   });
   EXPECT_EQ(next_row, 21u);
+}
+
+// The column-major view of every block equals db.to_matrix() bit for bit,
+// for all columns and for an out-of-order subset with a repeat, over a
+// ragged layout: two appends leave a 5-row block between full ones, and
+// keys of odd lengths start most blocks at offsets that are not a multiple
+// of 8. Every column the visitor sees is 64-byte aligned all the same, on
+// the mapped and the buffered store, with and without sequential_drop.
+TEST_F(ColumnStoreTest, BlockViewMatchesDenseMatrixAtEveryLayout) {
+  MetricDatabase db(catalog_);
+  const MetricDatabase plain = make_database(catalog_, 13);
+  for (std::size_t i = 0; i < plain.num_rows(); ++i) {
+    MetricRow row = plain.row(i);
+    row.scenario_key += std::string(2 * (i % 3) + 1, 'k');
+    db.add_row(std::move(row));
+  }
+  const MetricDatabase tail = make_database(catalog_, 6, /*id_base=*/13);
+  create_column_store(path_, catalog_, /*block_rows=*/8);
+  append_column_store_rows(path_, db);
+  append_column_store_rows(path_, tail);
+  std::vector<double> weights = db.weights();
+  for (const double w : tail.weights()) weights.push_back(w);
+  linalg::Matrix expect(19, catalog_.size());
+  for (std::size_t r = 0; r < 19; ++r) {
+    expect.set_row(r, r < 13 ? db.row(r).values : tail.row(r - 13).values);
+  }
+
+  for (const bool mmap : {true, false}) {
+    for (const bool drop : {false, true}) {
+      ColumnStoreOptions options;
+      options.use_mmap = mmap;
+      options.sequential_drop = drop;
+      const ColumnStore store(path_, catalog_, options);
+      ASSERT_EQ(store.num_blocks(), 3u);
+      ASSERT_EQ(store.mapped(), mmap);
+      for (const std::vector<std::size_t>& columns :
+           {testing::all_store_columns(store),
+            std::vector<std::size_t>{3, 0, 2, 0}}) {
+        std::vector<std::size_t> block_rows;
+        std::size_t next_row = 0;
+        store.for_each_block(columns, [&](const BlockView& block) {
+          ASSERT_EQ(block.first_row, next_row);
+          ASSERT_EQ(block.num_columns, columns.size());
+          block_rows.push_back(block.rows);
+          for (std::size_t k = 0; k < columns.size(); ++k) {
+            const std::span<const double> column = block.column(k);
+            EXPECT_EQ(reinterpret_cast<std::uintptr_t>(column.data()) % 64, 0u);
+            for (std::size_t r = 0; r < block.rows; ++r) {
+              EXPECT_EQ(std::bit_cast<std::uint64_t>(column[r]),
+                        std::bit_cast<std::uint64_t>(
+                            expect(block.first_row + r, columns[k])));
+            }
+          }
+          for (std::size_t r = 0; r < block.rows; ++r) {
+            EXPECT_EQ(block.weights[r], weights[block.first_row + r]);
+          }
+          next_row += block.rows;
+        });
+        EXPECT_EQ(next_row, 19u);
+        EXPECT_EQ(block_rows, (std::vector<std::size_t>{8, 5, 6}));
+      }
+      EXPECT_EQ(testing::store_matrix(store).data(), expect.data());
+      EXPECT_THROW(store.for_each_block(std::vector<std::size_t>{4},
+                                        [](const BlockView&) {}),
+                   std::invalid_argument);
+    }
+  }
 }
 
 TEST_F(ColumnStoreTest, AppendGrowsAndChangesSignature) {
@@ -170,6 +241,20 @@ TEST_F(ColumnStoreTest, RejectsTornTail) {
   const std::streamoff size = in.tellg();
   in.close();
   std::filesystem::resize_file(path_, static_cast<std::uintmax_t>(size - 16));
+  EXPECT_THROW(ColumnStore(path_, catalog_), ParseError);
+}
+
+// A block whose row count its payload cannot hold is rejected at open, so
+// no read ever runs past the block.
+TEST_F(ColumnStoreTest, RejectsRowCountBeyondPayload) {
+  create_column_store(path_, catalog_, 8);
+  append_column_store_rows(path_, make_database(catalog_, 3));
+  {
+    std::fstream io(path_, std::ios::binary | std::ios::in | std::ios::out);
+    io.seekp(32 + 8 + 8);  // header, payload_bytes, first_row
+    const std::uint64_t rows = 8;
+    io.write(reinterpret_cast<const char*>(&rows), sizeof(rows));
+  }
   EXPECT_THROW(ColumnStore(path_, catalog_), ParseError);
 }
 

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "util/error.hpp"
 
@@ -83,6 +84,29 @@ TEST_F(ScenarioIoTest, RejectsNegativeWeights) {
     out << "0,default,-1.0,DA:1\n";
   }
   EXPECT_THROW((void)load_scenario_set(path_), ParseError);
+}
+
+// A NaN or infinite weight would turn every cluster weight and estimate
+// into NaN downstream, so the loader refuses it with the line and token.
+TEST_F(ScenarioIoTest, RejectsNonFiniteWeights) {
+  for (const std::string token : {"nan", "inf", "-inf"}) {
+    {
+      std::ofstream out(path_);
+      out << "scenario_id,machine_type,observation_weight,job_mix\n";
+      out << "0,default,1.0,DA:1\n";
+      out << "1,default," << token << ",DA:1\n";
+    }
+    try {
+      (void)load_scenario_set(path_);
+      ADD_FAILURE() << "weight '" << token << "' loaded";
+    } catch (const ParseError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(path_ + ":3:"), std::string::npos) << what;
+      EXPECT_NE(what.find("offending token '" + token + "'"),
+                std::string::npos)
+          << what;
+    }
+  }
 }
 
 TEST_F(ScenarioIoTest, RejectsUnknownJobCodes) {

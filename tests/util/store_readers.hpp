@@ -4,7 +4,8 @@
 // materialises a store.
 #pragma once
 
-#include <span>
+#include <cstddef>
+#include <numeric>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -12,23 +13,32 @@
 
 namespace flare::testing {
 
+inline std::vector<std::size_t> all_store_columns(
+    const metrics::ColumnStore& store) {
+  std::vector<std::size_t> columns(store.num_metrics());
+  std::iota(columns.begin(), columns.end(), std::size_t{0});
+  return columns;
+}
+
 inline linalg::Matrix store_matrix(const metrics::ColumnStore& store) {
   linalg::Matrix out(store.num_rows(), store.num_metrics());
-  store.for_each_block([&](std::size_t first_row, const linalg::Matrix& values,
-                           std::span<const double>) {
-    for (std::size_t r = 0; r < values.rows(); ++r) {
-      out.set_row(first_row + r, values.row(r));
-    }
-  });
+  store.for_each_block(all_store_columns(store),
+                       [&](const metrics::BlockView& block) {
+                         for (std::size_t c = 0; c < block.num_columns; ++c) {
+                           const auto column = block.column(c);
+                           for (std::size_t r = 0; r < block.rows; ++r) {
+                             out(block.first_row + r, c) = column[r];
+                           }
+                         }
+                       });
   return out;
 }
 
 inline std::vector<double> store_weights(const metrics::ColumnStore& store) {
   std::vector<double> out;
   out.reserve(store.num_rows());
-  store.for_each_block([&](std::size_t, const linalg::Matrix&,
-                           std::span<const double> weights) {
-    out.insert(out.end(), weights.begin(), weights.end());
+  store.for_each_block({}, [&](const metrics::BlockView& block) {
+    out.insert(out.end(), block.weights.begin(), block.weights.end());
   });
   return out;
 }
