@@ -6,10 +6,10 @@
 // the exhaustive campaign, and how far the early answer actually lands from
 // the full-datacenter truth. Also records the exhaustive run's checkpoint
 // history, whose band must narrow monotonically (the anytime contract).
-// Writes BENCH_campaign.json (path overridable via argv[1]).
+// Writes BENCH_campaign.json (path overridable via argv[1]);
+// BenchGolden.campaign compares it with the committed copy.
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -51,11 +51,6 @@ void write_json(const std::string& path, double truth,
     return;
   }
   out << "{\n  \"benchmark\": \"campaign_cost_accuracy_frontier\",\n";
-#ifdef NDEBUG
-  out << "  \"build_type\": \"release\",\n";
-#else
-  out << "  \"build_type\": \"debug\",\n";
-#endif
   out << "  \"truth_impact_pct\": " << truth << ",\n  \"frontier\": [\n";
   for (std::size_t i = 0; i < frontier.size(); ++i) {
     const FrontierPoint& p = frontier[i];
@@ -83,15 +78,6 @@ void write_json(const std::string& path, double truth,
 }  // namespace
 
 int main(int argc, char** argv) {
-#ifndef NDEBUG
-  if (std::getenv("FLARE_ALLOW_DEBUG_BENCH") == nullptr) {
-    std::fprintf(stderr,
-                 "error: debug build — BENCH_campaign.json numbers would be "
-                 "meaningless. Rebuild Release or set "
-                 "FLARE_ALLOW_DEBUG_BENCH=1 (never commit the output).\n");
-    return 1;
-  }
-#endif
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_campaign.json";
 
   bench::print_banner("Extension",

@@ -19,13 +19,14 @@
 // recorded alongside as context — the base FLARE-vs-datacenter approximation
 // error is Fig. 12's story and identical for both policies. The headline
 // claim: adaptive-vs-oracle error inside the band at every checkpoint of
-// every cell, matched truth accuracy, and the adaptive ingest ≥ 2× cheaper.
-// Writes BENCH_drift.json (path overridable via argv[1]); exits non-zero if
-// the claim fails, so CI can gate on it.
-#include <chrono>
+// every cell, matched truth accuracy, and at most half the oracle's full
+// refits in every cell. Full refits are the ingest's dominant cost; perfbench's
+// `fleet_stream` workload times it. Writes BENCH_drift.json (path
+// overridable via argv[1]), which holds only deterministic result values;
+// BenchGolden.drift compares it with the committed copy. Exits non-zero if
+// the claim fails.
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -142,7 +143,6 @@ struct PolicyCost {
   int full_refits = 0;
   int refits_suppressed = 0;
   std::size_t episode_rows = 0;
-  double ingest_ms = 0.0;  // wall-clock cost of the ingest stream
 };
 
 struct Cell {
@@ -153,9 +153,9 @@ struct Cell {
   PolicyCost always;
   std::vector<Checkpoint> checkpoints;
 
-  double cost_ratio() const {
-    return adaptive.ingest_ms > 0.0 ? always.ingest_ms / adaptive.ingest_ms
-                                    : 0.0;
+  /// The adaptive policy runs at most half the oracle's full refits.
+  bool refits_halved() const {
+    return 2 * adaptive.full_refits <= always.full_refits;
   }
   bool all_within_band() const {
     for (const Checkpoint& c : checkpoints)
@@ -176,13 +176,10 @@ struct Cell {
   }
 };
 
-core::IngestReport ingest_timed(core::FlarePipeline& pipeline,
-                                const dcsim::ScenarioSet& batch,
-                                core::RefitPolicy policy, PolicyCost& cost) {
-  const auto t0 = std::chrono::steady_clock::now();
+core::IngestReport ingest_counted(core::FlarePipeline& pipeline,
+                                  const dcsim::ScenarioSet& batch,
+                                  core::RefitPolicy policy, PolicyCost& cost) {
   core::IngestReport report = pipeline.ingest(batch, policy);
-  const auto t1 = std::chrono::steady_clock::now();
-  cost.ingest_ms += std::chrono::duration<double, std::milli>(t1 - t0).count();
   if (report.action == core::DriftVerdict::kRefit) ++cost.full_refits;
   if (report.response.refit_suppressed) ++cost.refits_suppressed;
   cost.episode_rows += report.response.episode_rows;
@@ -204,9 +201,10 @@ Cell run_cell(const dcsim::ScenarioSet& base, const char* generator,
 
   for (int b = 0; b < kBatches; ++b) {
     const dcsim::ScenarioSet batch = stream_window(dynamics, b);
-    const core::IngestReport report =
-        ingest_timed(adaptive, batch, core::RefitPolicy::kAuto, cell.adaptive);
-    (void)ingest_timed(always, batch, core::RefitPolicy::kAlways, cell.always);
+    const core::IngestReport report = ingest_counted(
+        adaptive, batch, core::RefitPolicy::kAuto, cell.adaptive);
+    (void)ingest_counted(always, batch, core::RefitPolicy::kAlways,
+                         cell.always);
 
     if ((b + 1) % kCheckpointEvery == 0) {
       const core::ValidatedFeatureEstimate validated =
@@ -236,41 +234,31 @@ Cell run_cell(const dcsim::ScenarioSet& base, const char* generator,
 }
 
 void write_json(const std::string& path, const std::vector<Cell>& cells,
-                bool all_within_band, double min_cost_ratio,
-                bool matched_accuracy) {
+                bool all_within_band, bool matched_accuracy) {
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
     return;
   }
-  out << "{\n  \"benchmark\": \"drift_resilience_sweep\",\n";
-#ifdef NDEBUG
-  out << "  \"build_type\": \"release\",\n";
-#else
-  out << "  \"build_type\": \"debug\",\n";
-#endif
-  out << "  \"seed\": " << kSeed << ",\n"
+  out << "{\n  \"benchmark\": \"drift_resilience_sweep\",\n"
+      << "  \"seed\": " << kSeed << ",\n"
       << "  \"batches_per_cell\": " << kBatches << ",\n"
       << "  \"window_hours\": " << kWindowHours << ",\n"
       << "  \"all_within_band\": " << (all_within_band ? "true" : "false")
       << ",\n"
-      << "  \"min_cost_ratio\": " << min_cost_ratio << ",\n"
       << "  \"matched_accuracy\": " << (matched_accuracy ? "true" : "false")
       << ",\n  \"cells\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& cell = cells[i];
     out << "    {\"generator\": \"" << cell.generator << "\", \"level\": \""
         << cell.level << "\", \"rate\": " << cell.rate
-        << ", \"cost_ratio\": " << cell.cost_ratio()
         << ", \"matched_accuracy\": "
         << (cell.matched_accuracy() ? "true" : "false") << ",\n"
         << "      \"adaptive\": {\"full_refits\": " << cell.adaptive.full_refits
         << ", \"refits_suppressed\": " << cell.adaptive.refits_suppressed
-        << ", \"episode_rows\": " << cell.adaptive.episode_rows
-        << ", \"ingest_ms\": " << cell.adaptive.ingest_ms << "},\n"
+        << ", \"episode_rows\": " << cell.adaptive.episode_rows << "},\n"
         << "      \"always_refit\": {\"full_refits\": "
-        << cell.always.full_refits
-        << ", \"ingest_ms\": " << cell.always.ingest_ms << "},\n"
+        << cell.always.full_refits << "},\n"
         << "      \"checkpoints\": [";
     for (std::size_t j = 0; j < cell.checkpoints.size(); ++j) {
       const Checkpoint& c = cell.checkpoints[j];
@@ -297,15 +285,6 @@ void write_json(const std::string& path, const std::vector<Cell>& cells,
 }  // namespace
 
 int main(int argc, char** argv) {
-#ifndef NDEBUG
-  if (std::getenv("FLARE_ALLOW_DEBUG_BENCH") == nullptr) {
-    std::fprintf(stderr,
-                 "error: debug build — BENCH_drift.json numbers would be "
-                 "meaningless. Rebuild Release or set "
-                 "FLARE_ALLOW_DEBUG_BENCH=1 (never commit the output).\n");
-    return 1;
-  }
-#endif
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_drift.json";
 
   const dcsim::ScenarioSet base =
@@ -327,15 +306,14 @@ int main(int argc, char** argv) {
   bench::print_banner("Extension",
                       "Drift resilience: adaptive response vs always-refit");
   report::AsciiTable table({"generator", "rate", "refits (adp/alw)",
-                            "max vs oracle", "band ok", "truth err (adp/alw)",
-                            "ingest ms (adp/alw)", "cost ratio"});
+                            "max vs oracle", "band ok", "truth err (adp/alw)"});
   table.set_alignment(0, report::Align::kLeft);
   table.set_alignment(1, report::Align::kLeft);
 
   std::vector<Cell> cells;
   bool all_within_band = true;
   bool matched_accuracy = true;
-  double min_cost_ratio = 1e18;
+  bool refits_halved = true;
   for (const GeneratorSpec& gen : generators) {
     const double rates[] = {gen.mild, gen.paper, gen.stress};
     for (int level = 0; level < 3; ++level) {
@@ -343,7 +321,7 @@ int main(int argc, char** argv) {
                            gen.make(rates[level]));
       all_within_band = all_within_band && cell.all_within_band();
       matched_accuracy = matched_accuracy && cell.matched_accuracy();
-      min_cost_ratio = std::min(min_cost_ratio, cell.cost_ratio());
+      refits_halved = refits_halved && cell.refits_halved();
 
       double worst_gap = 0.0;
       for (const Checkpoint& c : cell.checkpoints)
@@ -356,32 +334,28 @@ int main(int argc, char** argv) {
            report::AsciiTable::cell(worst_gap, 2) + " pp",
            cell.all_within_band() ? "yes" : "NO",
            report::AsciiTable::cell(cell.max_truth_err(false), 2) + " / " +
-               report::AsciiTable::cell(cell.max_truth_err(true), 2) + " pp",
-           report::AsciiTable::cell(cell.adaptive.ingest_ms, 0) + " / " +
-               report::AsciiTable::cell(cell.always.ingest_ms, 0),
-           report::AsciiTable::cell(cell.cost_ratio(), 1) + "x"});
+               report::AsciiTable::cell(cell.max_truth_err(true), 2) + " pp"});
       cells.push_back(std::move(cell));
     }
   }
   table.print(std::cout);
 
-  const bool ok = all_within_band && matched_accuracy && min_cost_ratio >= 2.0;
+  const bool ok = all_within_band && matched_accuracy && refits_halved;
   std::printf(
       "\nAcross all four generators up to the stress rate, the adaptive\n"
       "response stays inside its reported band of the always-refit oracle\n"
       "(%s), matches its accuracy against exhaustive ground truth (%s),\n"
-      "and ingests %.1fx cheaper at worst.\n",
+      "and runs at most half the oracle's full refits in every cell (%s).\n",
       all_within_band ? "yes" : "NO", matched_accuracy ? "yes" : "NO",
-      min_cost_ratio);
+      refits_halved ? "yes" : "NO");
 
-  write_json(out_path, cells, all_within_band, min_cost_ratio,
-             matched_accuracy);
+  write_json(out_path, cells, all_within_band, matched_accuracy);
   if (!ok) {
     std::fprintf(stderr,
                  "error: drift-resilience claim failed (band %d, matched %d, "
-                 "min ratio %.2f)\n",
+                 "refits halved %d)\n",
                  all_within_band ? 1 : 0, matched_accuracy ? 1 : 0,
-                 min_cost_ratio);
+                 refits_halved ? 1 : 0);
     return 1;
   }
   return 0;

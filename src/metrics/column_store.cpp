@@ -260,6 +260,10 @@ ColumnStore::ColumnStore(const std::string& path, const MetricCatalog& catalog,
 
 #if FLARE_HAVE_MMAP
   if (mapped_) {
+    // The scan read one header per block, and fault-around mapped the pages
+    // around each; release them so an opened store holds no file pages
+    // until it is read.
+    ::madvise(map_, map_size_, MADV_DONTNEED);
     ::madvise(map_, map_size_,
               options_.sequential_drop ? MADV_SEQUENTIAL : MADV_NORMAL);
   }

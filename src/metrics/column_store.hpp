@@ -95,7 +95,8 @@ class ColumnStore {
   /// Opens and validates the store. The catalog must match the one the store
   /// was created with (names and order — checked via the stored hash).
   /// Throws ParseError on malformed files, including torn block tails (run
-  /// trace::recover_append first to roll back a crashed append).
+  /// trace::recover_append first to roll back a crashed append). A mapped
+  /// store releases the pages its directory scan touched before returning.
   explicit ColumnStore(const std::string& path, const MetricCatalog& catalog,
                        ColumnStoreOptions options = {});
   ~ColumnStore();

@@ -1,6 +1,7 @@
 #include "ml/impute.hpp"
 
 #include <cmath>
+#include <string>
 #include <unordered_set>
 
 #include "stats/descriptive.hpp"
@@ -34,6 +35,18 @@ std::vector<double> finite_column_medians(
     medians[c] = cells.empty() ? 0.0 : stats::median(cells);
   }
   return medians;
+}
+
+void require_finite(const linalg::Matrix& data, const std::string& who) {
+  for (std::size_t r = 0; r < data.rows(); ++r) {
+    for (std::size_t c = 0; c < data.cols(); ++c) {
+      if (!std::isfinite(data(r, c))) {
+        throw FaultError(who + ": non-finite value at row " +
+                         std::to_string(r) + ", column " + std::to_string(c) +
+                         " — impute or quarantine first");
+      }
+    }
+  }
 }
 
 }  // namespace flare::ml

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -22,5 +23,10 @@ namespace flare::ml {
 [[nodiscard]] std::vector<double> finite_column_medians(
     const linalg::Matrix& data,
     const std::vector<std::size_t>& exclude_rows = {});
+
+/// Throws FaultError naming the first non-finite cell of `data` by row and
+/// column, prefixed with `who`. Stages past imputation call it: a non-finite
+/// cell there is a caller bug that would silently poison every result.
+void require_finite(const linalg::Matrix& data, const std::string& who);
 
 }  // namespace flare::ml

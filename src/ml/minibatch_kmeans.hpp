@@ -67,14 +67,4 @@ struct MiniBatchKMeansParams {
                                             const MiniBatchKMeansParams& params,
                                             util::ThreadPool* pool = nullptr);
 
-/// Pair-sampled co-membership agreement between two clusterings of the same
-/// rows (Rand-index style): the fraction of sampled pairs (i, j) on which
-/// the two assignments agree about "same cluster vs different cluster".
-/// Enumerates all pairs exactly when there are at most `sample_pairs` of
-/// them. 1.0 = identical partitions (up to label permutation).
-[[nodiscard]] double comembership_agreement(const std::vector<std::size_t>& a,
-                                            const std::vector<std::size_t>& b,
-                                            std::size_t sample_pairs = 200000,
-                                            std::uint64_t seed = 42);
-
 }  // namespace flare::ml

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "linalg/covariance.hpp"
+#include "ml/impute.hpp"
 #include "util/error.hpp"
 
 namespace flare::ml {
@@ -11,17 +12,8 @@ namespace flare::ml {
 void Standardizer::fit(const linalg::Matrix& data) {
   ensure(data.rows() >= 1, "Standardizer::fit: empty data");
   // Non-finite cells would silently poison every moment (NaN means, NaN
-  // scales, and from there the whole PCA). Faulty rows must be imputed or
-  // quarantined before fitting; reaching here with one is a caller bug.
-  for (std::size_t r = 0; r < data.rows(); ++r) {
-    for (std::size_t c = 0; c < data.cols(); ++c) {
-      if (!std::isfinite(data(r, c))) {
-        throw FaultError("Standardizer::fit: non-finite value at row " +
-                         std::to_string(r) + ", column " + std::to_string(c) +
-                         " — impute or quarantine before fitting");
-      }
-    }
-  }
+  // scales, and from there the whole PCA).
+  require_finite(data, "Standardizer::fit");
   means_ = linalg::column_means(data);
   scales_.assign(data.cols(), 1.0);
   count_ = data.rows();

@@ -128,20 +128,4 @@ RequestFrame make_report_request(const std::string& feature_specs,
   return frame;
 }
 
-bool wait_until_ready(const std::string& socket_path,
-                      std::chrono::milliseconds timeout) {
-  const auto give_up = std::chrono::steady_clock::now() + timeout;
-  while (std::chrono::steady_clock::now() < give_up) {
-    try {
-      ServeClient client(socket_path, std::chrono::milliseconds(500));
-      const ResponseFrame response = client.call(make_status_request());
-      if (response.outcome == Outcome::kOk) return true;
-    } catch (const ServeError&) {
-      // Not up yet (or mid-recovery); retry until the timeout.
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  return false;
-}
-
 }  // namespace flare::serve

@@ -59,9 +59,4 @@ class ServeClient {
 [[nodiscard]] RequestFrame make_report_request(const std::string& feature_specs,
                                                std::uint32_t deadline_ms = 0);
 
-/// Polls the daemon with status requests until it answers or `timeout`
-/// elapses. Returns true when the daemon is serving.
-[[nodiscard]] bool wait_until_ready(const std::string& socket_path,
-                                    std::chrono::milliseconds timeout);
-
 }  // namespace flare::serve

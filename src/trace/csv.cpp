@@ -1,5 +1,6 @@
 #include "trace/csv.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <ostream>
 
@@ -91,6 +92,17 @@ long long parse_csv_int(const std::string& token, const std::string& path,
     throw ParseError(path + ":" + std::to_string(line_number) +
                      ": not an integer — offending token '" + token + "'");
   }
+}
+
+double parse_csv_weight(const std::string& token, const std::string& path,
+                        std::size_t line_number) {
+  const double weight = parse_csv_double(token, path, line_number);
+  if (!std::isfinite(weight) || weight < 0.0) {
+    throw ParseError(path + ":" + std::to_string(line_number) +
+                     ": weight must be finite and non-negative — offending "
+                     "token '" + token + "'");
+  }
+  return weight;
 }
 
 CsvContent read_csv_content(const std::string& path) {

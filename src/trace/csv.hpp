@@ -32,6 +32,10 @@ void write_csv_row(std::ostream& out, const std::vector<std::string>& fields);
 [[nodiscard]] long long parse_csv_int(const std::string& token,
                                       const std::string& path,
                                       std::size_t line_number);
+/// An observation weight: a number that is finite and non-negative.
+[[nodiscard]] double parse_csv_weight(const std::string& token,
+                                      const std::string& path,
+                                      std::size_t line_number);
 
 /// A file's non-empty lines plus whether the final line was newline-
 /// terminated. Every writer in trace/ terminates the last record, so an

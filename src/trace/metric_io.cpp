@@ -70,7 +70,7 @@ metrics::MetricDatabase load_metric_database(const std::string& path,
     row.scenario_id =
         static_cast<std::size_t>(parse_csv_int(fields[0], path, line_no));
     row.scenario_key = fields[1];
-    row.observation_weight = parse_csv_double(fields[2], path, line_no);
+    row.observation_weight = parse_csv_weight(fields[2], path, line_no);
     row.values.reserve(catalog.size());
     for (std::size_t i = 0; i < catalog.size(); ++i) {
       row.values.push_back(parse_csv_double(fields[3 + i], path, line_no));

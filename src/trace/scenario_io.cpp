@@ -1,7 +1,6 @@
 #include "trace/scenario_io.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -119,13 +118,7 @@ dcsim::ScenarioSet parse_scenario_lines(
                        "token '" +
                        s.machine_type + "'");
     }
-    s.observation_weight = parse_csv_double(fields[2], path, line_no);
-    if (!std::isfinite(s.observation_weight) || s.observation_weight < 0.0) {
-      throw ParseError("load_scenario_set: " + path + ":" +
-                       std::to_string(line_no) +
-                       ": weight must be finite and non-negative — offending "
-                       "token '" + fields[2] + "'");
-    }
+    s.observation_weight = parse_csv_weight(fields[2], path, line_no);
     try {
       s.mix = dcsim::JobMix::from_key(fields[3]);
     } catch (const ParseError& e) {

@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "trace/csv.hpp"
+
 namespace flare::cli {
 namespace {
 
@@ -94,6 +96,45 @@ TEST_F(CliWorkflowTest, EvaluateRefusesNonFiniteWeights) {
     std::string err;
     EXPECT_EQ(run({"evaluate", "--scenarios", scenarios_.c_str(), "--feature",
                    "feature2", "--clusters", "5"},
+                  nullptr, &err),
+              2)
+        << token;
+    EXPECT_NE(err.find(":4: weight must be finite and non-negative — "
+                       "offending token '" + token + "'"),
+              std::string::npos)
+        << err;
+  }
+}
+
+// The same holds for a metric database: `analyze --metrics` refuses a row
+// whose observation weight is NaN, infinite or negative.
+TEST_F(CliWorkflowTest, AnalyzeRefusesNonFiniteOrNegativeWeights) {
+  ASSERT_EQ(run({"simulate", "--out", scenarios_.c_str(), "--scenarios", "60"}),
+            0);
+  ASSERT_EQ(run({"profile", "--scenarios", scenarios_.c_str(), "--out",
+                 metrics_.c_str(), "--samples", "1"}),
+            0);
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(metrics_);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  ASSERT_GT(lines.size(), 3u);
+  for (const std::string token : {"nan", "inf", "-inf", "-1"}) {
+    {
+      std::vector<std::string> fields = trace::parse_csv_row(lines[3]);
+      fields[2] = token;  // third data row: replace observation_weight
+      std::ofstream out(metrics_);
+      for (std::size_t i = 0; i < lines.size(); ++i) {
+        if (i == 3) {
+          trace::write_csv_row(out, fields);
+        } else {
+          out << lines[i] << '\n';
+        }
+      }
+    }
+    std::string err;
+    EXPECT_EQ(run({"analyze", "--metrics", metrics_.c_str(), "--clusters", "5"},
                   nullptr, &err),
               2)
         << token;

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "cli/commands.hpp"
+#include "trace/csv.hpp"
 
 namespace flare::cli {
 namespace {
@@ -74,6 +78,36 @@ TEST_F(DriftCommandTest, ThresholdsAreTunable) {
             0);
   EXPECT_NE(out.find("verdict: refit"), std::string::npos) << out;
   EXPECT_NE(out.find("§5.5"), std::string::npos);
+}
+
+// A fresh batch with a non-finite metric cell is a fault (exit 5) that names
+// the cell, never a verdict computed over a NaN distance.
+TEST_F(DriftCommandTest, NonFiniteCellIsAFault) {
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(mx_b_);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  ASSERT_GT(lines.size(), 3u);
+  {
+    std::vector<std::string> fields = trace::parse_csv_row(lines[3]);
+    fields[5] = "nan";  // third data row, third metric column
+    std::ofstream out(mx_b_);
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      if (i == 3) {
+        trace::write_csv_row(out, fields);
+      } else {
+        out << lines[i] << '\n';
+      }
+    }
+  }
+  std::string err;
+  EXPECT_EQ(run({"drift", "--baseline", mx_a_.c_str(), "--fresh", mx_b_.c_str(),
+                 "--clusters", "6"},
+                nullptr, &err),
+            5);
+  EXPECT_NE(err.find("non-finite value at row 2, column 2"), std::string::npos)
+      << err;
 }
 
 TEST_F(DriftCommandTest, MissingFilesAreReported) {

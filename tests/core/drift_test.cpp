@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "tests/core/test_env.hpp"
+#include "util/error.hpp"
 
 namespace flare::core {
 namespace {
@@ -114,6 +118,25 @@ TEST_F(DriftTest, ValidatesConfigAndInput) {
   EXPECT_THROW(DriftMonitor(analysis_, bad), std::invalid_argument);
   EXPECT_THROW((void)monitor_.inspect(metrics::MetricDatabase{}),
                std::invalid_argument);
+
+  // A non-finite metric cell is refused by position, not scored.
+  const dcsim::MachineConfig machine = dcsim::default_machine();
+  const metrics::MetricDatabase clean =
+      profile_batch(fresh_batch(0x5EED, 40, machine), machine);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    metrics::MetricDatabase batch = clean;
+    batch.row_mutable(3).values[7] = bad;
+    try {
+      (void)monitor_.inspect(batch);
+      ADD_FAILURE() << "inspect accepted " << bad;
+    } catch (const FaultError& e) {
+      EXPECT_NE(std::string(e.what()).find("row 3, column 7"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST_F(DriftTest, VerdictNames) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cctype>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -256,6 +257,55 @@ TEST_F(ColumnStoreTest, RejectsRowCountBeyondPayload) {
     io.write(reinterpret_cast<const char*>(&rows), sizeof(rows));
   }
   EXPECT_THROW(ColumnStore(path_, catalog_), ParseError);
+}
+
+/// Resident kB of every mapping of `path` in /proc/self/smaps, or -1 when
+/// the file cannot be read or names no such mapping.
+long mapped_rss_kb(const std::string& path) {
+  std::ifstream smaps("/proc/self/smaps");
+  const std::string target = std::filesystem::canonical(path).string();
+  long total = -1;
+  bool in_target = false;
+  for (std::string line; std::getline(smaps, line);) {
+    // A mapping's first line is "start-end perms offset dev inode path".
+    if (!line.empty() && std::isxdigit(static_cast<unsigned char>(line[0])) &&
+        line.find('-') < line.find(' ')) {
+      in_target = line.size() >= target.size() &&
+                  line.compare(line.size() - target.size(), target.size(),
+                               target) == 0;
+      if (in_target && total < 0) total = 0;
+    } else if (in_target && line.rfind("Rss:", 0) == 0) {
+      total += std::stol(line.substr(4));
+    }
+  }
+  return total;
+}
+
+// The directory scan reads one header per block, and fault-around maps the
+// pages around each; the constructor releases them, so an opened store that
+// has not been read holds (almost) no file pages.
+TEST_F(ColumnStoreTest, OpenLeavesNoHeaderPagesResident) {
+  // 200 blocks of 8 rows over a wide schema: about 2 MiB of file, one
+  // header every ~8 KiB.
+  std::vector<MetricInfo> infos;
+  for (std::size_t c = 0; c < 128; ++c) {
+    MetricInfo m;
+    m.index = c;
+    m.name = "Machine.M" + std::to_string(c);
+    infos.push_back(std::move(m));
+  }
+  const MetricCatalog wide(std::move(infos));
+  create_column_store(path_, wide, /*block_rows=*/8);
+  append_column_store_rows(path_, make_database(wide, 1600));
+
+  const ColumnStore store(path_, wide);
+  if (!store.mapped()) GTEST_SKIP() << "store is not mmapped";
+  ASSERT_EQ(store.num_blocks(), 200u);
+  const long rss_kb = mapped_rss_kb(path_);
+  if (rss_kb < 0) GTEST_SKIP() << "no readable /proc/self/smaps entry";
+  EXPECT_LE(rss_kb, 64) << "kB of the store resident after open";
+  // Reading it back still works: the pages fault in again.
+  EXPECT_EQ(store.row(1599).scenario_id, 1599u);
 }
 
 TEST_F(ColumnStoreTest, BufferedFallbackMatchesMmap) {

@@ -8,9 +8,12 @@
 
 #include "ml/cluster_quality.hpp"
 #include "stats/rng.hpp"
+#include "tests/util/comembership.hpp"
 
 namespace flare::ml {
 namespace {
+
+using testing::comembership_agreement;
 
 // Well-separated Gaussian blobs: the regime where exact and coreset K-means
 // must agree on the partition (FLARE clusters are far tighter than this).

@@ -16,6 +16,7 @@
 #include "metrics/column_store.hpp"
 #include "ml/minibatch_kmeans.hpp"
 #include "stats/rng.hpp"
+#include "tests/util/comembership.hpp"
 #include "tests/util/property.hpp"
 #include "util/thread_pool.hpp"
 
@@ -134,8 +135,9 @@ TEST_F(ScaleTest, FiftyThousandRowsAnalyseThroughMmap) {
   // which costs a little agreement but not correctness of the sweep).
   std::vector<std::size_t> truth(kScaleRows);
   for (std::size_t i = 0; i < kScaleRows; ++i) truth[i] = i % kScaleBlobs;
-  EXPECT_GE(ml::comembership_agreement(result.clustering.assignment, truth),
-            0.9);
+  EXPECT_GE(
+      testing::comembership_agreement(result.clustering.assignment, truth),
+      0.9);
 }
 
 // Paper-scale co-membership certification: at n = 895 (the population of the
@@ -168,7 +170,7 @@ TEST(ScalePropertyTest, MinibatchMatchesExactCoMembership) {
     const ml::KMeansResult fast = ml::minibatch_kmeans(data, mb);
 
     const double agreement =
-        ml::comembership_agreement(exact.assignment, fast.assignment);
+        testing::comembership_agreement(exact.assignment, fast.assignment);
     EXPECT_GE(agreement, 0.9)
         << "coreset partition diverged from exact at n = " << n;
   });

@@ -37,6 +37,7 @@ using testing::kv_or;
 using testing::make_set;
 using testing::serve_flare_config;
 using testing::TempTree;
+using testing::wait_until_ready;
 
 /// Forks a child that serves `config` until the armed kill point fires.
 /// Returns the child pid; the child never returns.

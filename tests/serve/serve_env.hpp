@@ -75,6 +75,24 @@ inline DaemonConfig daemon_config(const TempTree& tree) {
 
 #ifdef FLARE_HAVE_UNIX_SOCKETS
 
+/// Polls the daemon with status requests until it answers or `timeout`
+/// elapses. Returns true when the daemon is serving.
+inline bool wait_until_ready(const std::string& socket_path,
+                             std::chrono::milliseconds timeout) {
+  const auto give_up = std::chrono::steady_clock::now() + timeout;
+  while (std::chrono::steady_clock::now() < give_up) {
+    try {
+      ServeClient client(socket_path, std::chrono::milliseconds(500));
+      const ResponseFrame response = client.call(make_status_request());
+      if (response.outcome == Outcome::kOk) return true;
+    } catch (const ServeError&) {
+      // Not up yet (or mid-recovery); retry until the timeout.
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return false;
+}
+
 /// Constructs the daemon (recovery + fit happen here), runs it on a thread,
 /// and blocks until it answers status. stop() requests shutdown and joins.
 class DaemonRunner {

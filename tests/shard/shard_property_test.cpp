@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "core/sharded_pipeline.hpp"
-#include "ml/minibatch_kmeans.hpp"
+#include "tests/util/comembership.hpp"
 #include "tests/util/fleet_env.hpp"
 #include "tests/util/property.hpp"
 
@@ -85,7 +85,7 @@ TEST(ShardProperty, PooledVsShardedComembershipOnTwoShapeFleet) {
     //    above a degenerate all-one-cluster outcome (~0.2).
     const std::size_t pairs = std::max<std::size_t>(
         2000, static_cast<std::size_t>(200000 * scale));
-    const double agreement = ml::comembership_agreement(
+    const double agreement = flare::testing::comembership_agreement(
         pooled_labels, shard_labels, pairs, rng.next());
     EXPECT_GE(agreement, 0.5);
     EXPECT_LE(agreement, 1.0);

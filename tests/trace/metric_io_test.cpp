@@ -137,6 +137,27 @@ TEST_F(MetricIoTest, RejectsBadFieldCounts) {
   EXPECT_THROW((void)load_metric_database(path_, catalog_), ParseError);
 }
 
+TEST_F(MetricIoTest, RejectsNonFiniteOrNegativeWeights) {
+  for (const std::string token : {"nan", "inf", "-inf", "-1"}) {
+    {
+      std::ofstream out(path_);
+      out << "scenario_id,scenario_key,observation_weight,Machine.X,HP.Y\n";
+      out << "0,DC:1,1.0,3.5,2\n";
+      out << "1,DC:2," << token << ",3.5,2\n";
+    }
+    try {
+      (void)load_metric_database(path_, catalog_);
+      ADD_FAILURE() << "weight '" << token << "' loaded";
+    } catch (const ParseError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(path_ + ":3:"), std::string::npos) << what;
+      EXPECT_NE(what.find("offending token '" + token + "'"),
+                std::string::npos)
+          << what;
+    }
+  }
+}
+
 TEST_F(MetricIoTest, RejectsMissingFile) {
   EXPECT_THROW((void)load_metric_database("/no/such/file.csv", catalog_), ParseError);
 }

@@ -33,19 +33,20 @@ cmake -S "$root" -B "$build" -DCMAKE_BUILD_TYPE=Debug \
 
 targets=(flare)
 for src in "$root"/examples/*.cpp "$root"/bench/*.cpp; do
-  name=$(basename "$src" .cpp)
-  [ "$name" = bench_main ] || targets+=("$name")
+  targets+=("$(basename "$src" .cpp)")
 done
 cmake --build "$build" -j "${JOBS:-4}" --target "${targets[@]}" >/dev/null
 
 mapfile -t libs < <(find "$build/src" -name 'libflare_*.a' | sort)
 
 # flarebench belongs to perfbench's own CMake project; its sources need only
-# the library headers, so compile them here with the same flags.
+# the library headers, so compile them here with the same flags. Its main()
+# returns at once unless NDEBUG is defined, and the compiler drops the code
+# after that return even at -O0, so NDEBUG is needed for its calls to count.
 mkdir -p "$work/flarebench"
 for src in "$root"/perfbench/cpp/*.cpp; do
-  "$cxx" -std=c++20 $flags -I"$root/src" -I"$root/perfbench/cpp" \
-    -DFLAREBENCH_BUILD_TYPE='"Debug"' \
+  "$cxx" -std=c++20 $flags -DNDEBUG -I"$root/src" -I"$root/perfbench/cpp" \
+    -DFLAREBENCH_BUILD_TYPE='"Release"' \
     -c "$src" -o "$work/flarebench/$(basename "$src" .cpp).o"
 done
 
@@ -55,7 +56,7 @@ done
 dropped() {
   "$cxx" -o "$work/a.out" "$@" -Wl,--whole-archive "${libs[@]}" \
     -Wl,--no-whole-archive -Wl,--gc-sections -Wl,--print-gc-sections \
-    -pthread -lbenchmark 2>&1 >/dev/null |
+    -pthread 2>&1 >/dev/null |
     sed -n "s/.*removing unused section '\.text\.\([^'[]*\)'.*/\1/p" |
     sort -u
 }
