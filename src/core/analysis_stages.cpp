@@ -3,7 +3,6 @@
 // function of its arguments.
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <string>
 
 #include "core/analyzer.hpp"
@@ -192,6 +191,18 @@ ClusterOutput cluster(const linalg::Matrix& cluster_space,
        (config.kmeans_mode == KMeansMode::kAuto &&
         n > config.minibatch_threshold));
   const bool exact_silhouette = n <= config.silhouette_exact_threshold;
+  const std::size_t k_lo = config.min_clusters;
+  const std::size_t k_hi = std::min(config.max_clusters, cluster_space.rows() - 1);
+  const bool sweep = config.compute_quality_curve || !config.fixed_clusters;
+  // The exact solver's seeding picks at k are the first k of its picks at
+  // k_hi (ml::kmeans_seeds), so a sweep seeds each restart once instead of
+  // once per k; every result is the unseeded kmeans' bit for bit.
+  const bool shared_seeds = sweep && k_hi >= k_lo &&
+                            config.algorithm == ClusterAlgorithm::kKMeans &&
+                            !use_minibatch;
+  const ml::KMeansSeeds seeds =
+      shared_seeds ? ml::kmeans_seeds(cluster_space, base_params, k_hi, pool)
+                   : ml::KMeansSeeds();
   // One fixed row sample scores every sweep point, mirroring how the exact
   // path shares one distance cache — curves stay comparable across k.
   const auto solve = [&](std::size_t k, util::ThreadPool* solver_pool) {
@@ -200,6 +211,7 @@ ClusterOutput cluster(const linalg::Matrix& cluster_space,
     }
     ml::KMeansParams params = base_params;
     params.k = k;
+    if (shared_seeds) return ml::kmeans(cluster_space, params, seeds, solver_pool);
     if (!use_minibatch) return ml::kmeans(cluster_space, params, solver_pool);
     ml::MiniBatchKMeansParams mb;
     mb.kmeans = params;
@@ -208,9 +220,6 @@ ClusterOutput cluster(const linalg::Matrix& cluster_space,
     return ml::minibatch_kmeans(cluster_space, mb, solver_pool);
   };
 
-  const std::size_t k_lo = config.min_clusters;
-  const std::size_t k_hi = std::min(config.max_clusters, cluster_space.rows() - 1);
-  const bool sweep = config.compute_quality_curve || !config.fixed_clusters;
   // Sweep results worth keeping, by k - k_lo. Under auto-k the sweep's own
   // solve of the chosen k is the clustering: kmeans gives the same result
   // for every thread count, so re-solving it after the sweep would only
@@ -254,7 +263,7 @@ ClusterOutput cluster(const linalg::Matrix& cluster_space,
                      ? *config.fixed_clusters
                      : Analyzer::suggest_k(out.quality_curve);
   ensure(out.chosen_k >= config.min_clusters && out.chosen_k <= k_hi,
-         "Analyzer::analyze: chosen cluster count is out of the sweep range");
+         "stages::cluster: chosen cluster count is out of the sweep range");
   if (out.chosen_k - k_lo < kept.size()) {
     out.clustering = std::move(kept[out.chosen_k - k_lo]);
   }
@@ -273,7 +282,7 @@ RepresentativesOutput representatives(const ml::KMeansResult& clustering,
          "stages::representatives: weight count must match scenario count");
   double total = 0.0;
   for (const double w : weights) total += w;
-  ensure(total > 0.0, "Analyzer::analyze: zero total observation weight");
+  ensure(total > 0.0, "stages::representatives: zero total observation weight");
 
   RepresentativesOutput out;
   out.representatives.resize(k);
@@ -329,20 +338,7 @@ NearestAssignment assign_to_nearest(const ml::KMeansResult& clustering,
   NearestAssignment out;
   out.cluster.resize(points.rows());
   out.dist_sq.resize(points.rows());
-  for (std::size_t r = 0; r < points.rows(); ++r) {
-    double best = std::numeric_limits<double>::max();
-    std::size_t best_c = 0;
-    for (std::size_t c = 0; c < clustering.centroids.rows(); ++c) {
-      const double d = linalg::squared_distance(points.row(r),
-                                                clustering.centroids.row(c));
-      if (d < best) {
-        best = d;
-        best_c = c;
-      }
-    }
-    out.cluster[r] = best_c;
-    out.dist_sq[r] = best;
-  }
+  ml::nearest_centroids(points, clustering.centroids, out.cluster, out.dist_sq);
   return out;
 }
 

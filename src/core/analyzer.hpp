@@ -34,7 +34,7 @@ enum class ClusterAlgorithm : unsigned char {
 
 /// Which K-means engine the cluster stage runs (DESIGN.md §12).
 enum class KMeansMode : unsigned char {
-  kExact,      ///< Elkan/Hamerly over all rows (default; bit-identical path)
+  kExact,      ///< Lloyd over all rows, exact nearest-centroid scan (default)
   kMiniBatch,  ///< coreset solve + full-data refinement (sublinear sweep)
   kAuto,       ///< exact below minibatch_threshold rows, minibatch above
 };

@@ -10,6 +10,7 @@
 
 #include "core/pc_labeler.hpp"
 #include "linalg/kernels.hpp"
+#include "ml/impute.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -53,7 +54,20 @@ void column_stats(const metrics::BlockView& block, std::size_t c0,
   }
 }
 
-/// Folds one column-major block of every store column into the moments.
+/// Throws require_finite's FaultError at the first non-finite cell of column
+/// `c` of `block`, naming its store row (none: finite cells overflowed).
+void reject_non_finite_column(const metrics::BlockView& block, std::size_t c) {
+  const std::span<const double> column = block.column(c);
+  for (std::size_t r = 0; r < column.size(); ++r) {
+    if (!std::isfinite(column[r])) {
+      ml::throw_non_finite("analyze_out_of_core", block.first_row + r, c);
+    }
+  }
+}
+
+/// Folds one column-major block of every store column into the moments. A
+/// non-finite cell is a fault, as in RAM (std::min/max would drop a NaN):
+/// a non-finite column sum sends its column to a rescan.
 void fold_block(StreamedMoments& m, const metrics::BlockView& block,
                 util::ThreadPool* pool) {
   const std::size_t rows = block.rows;
@@ -65,6 +79,9 @@ void fold_block(StreamedMoments& m, const metrics::BlockView& block,
     column_stats<kLanes>(block, c, m, block_mean.data());
   }
   for (; c < d; ++c) column_stats<1>(block, c, m, block_mean.data());
+  for (std::size_t j = 0; j < d; ++j) {
+    if (!std::isfinite(block_mean[j])) reject_non_finite_column(block, j);
+  }
   for (double& v : block_mean) v /= static_cast<double>(rows);
 
   // Block comoment from the shared cross-product kernel (bit-identical for

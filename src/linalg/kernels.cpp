@@ -218,6 +218,19 @@ bool avx512f_available() {
 #endif
 }
 
+bool avx2_available() {
+#if defined(__x86_64__)
+  // libgcc's probe also requires the OS to save the ymm state (XCR0).
+  static const bool supported = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return supported;
+#else
+  return false;
+#endif
+}
+
 Matrix centered_cross_products_baseline(const StridedView& data,
                                         std::span<const double> means,
                                         util::ThreadPool* pool) {

@@ -79,6 +79,9 @@ namespace detail {
 /// check both against the naive loops on one host. The `_avx512f` ones throw
 /// std::invalid_argument unless avx512f_available().
 [[nodiscard]] bool avx512f_available();
+/// The CPU probe behind ml::nearest_centroids' AVX2 variant. Both probes
+/// also require the OS to save the wide registers.
+[[nodiscard]] bool avx2_available();
 [[nodiscard]] Matrix centered_cross_products_baseline(
     const StridedView& data, std::span<const double> means,
     util::ThreadPool* pool = nullptr);

@@ -1,4 +1,4 @@
-// Internal dense-distance kernels shared by the pruned K-means and the
+// Internal dense-distance kernels shared by the k-means++ seeding and the
 // pairwise-distance/silhouette paths. Exact twins of
 // linalg::squared_distance's loop: same operations in the same order, so
 // every value they produce matches the library kernel bit for bit.
@@ -41,33 +41,6 @@ inline void dist2_raw2(const double* a0, const double* b0, const double* a1,
   }
   out0 = s0;
   out1 = s1;
-}
-
-/// Four independent dist2_raw evaluations (a[m] against b[m]) with
-/// interleaved accumulators, the dist2_raw2 argument taken one step further:
-/// each sum is exactly dist2_raw's operations in dist2_raw's order (no FMA),
-/// so out[m] matches a separate call bit for bit, while four chains keep the
-/// FP adder busy where one leaves it waiting on its own latency.
-inline void dist2_raw4(const double* const a[4], const double* const b[4],
-                       std::size_t dim, double out[4]) {
-  double s0 = 0.0;
-  double s1 = 0.0;
-  double s2 = 0.0;
-  double s3 = 0.0;
-  for (std::size_t j = 0; j < dim; ++j) {
-    const double d0 = a[0][j] - b[0][j];
-    const double d1 = a[1][j] - b[1][j];
-    const double d2 = a[2][j] - b[2][j];
-    const double d3 = a[3][j] - b[3][j];
-    s0 += d0 * d0;
-    s1 += d1 * d1;
-    s2 += d2 * d2;
-    s3 += d3 * d3;
-  }
-  out[0] = s0;
-  out[1] = s1;
-  out[2] = s2;
-  out[3] = s3;
 }
 
 }  // namespace flare::ml::detail

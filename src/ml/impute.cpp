@@ -40,13 +40,16 @@ std::vector<double> finite_column_medians(
 void require_finite(const linalg::Matrix& data, const std::string& who) {
   for (std::size_t r = 0; r < data.rows(); ++r) {
     for (std::size_t c = 0; c < data.cols(); ++c) {
-      if (!std::isfinite(data(r, c))) {
-        throw FaultError(who + ": non-finite value at row " +
-                         std::to_string(r) + ", column " + std::to_string(c) +
-                         " — impute or quarantine first");
-      }
+      if (!std::isfinite(data(r, c))) throw_non_finite(who, r, c);
     }
   }
+}
+
+void throw_non_finite(const std::string& who, std::size_t row,
+                      std::size_t column) {
+  throw FaultError(who + ": non-finite value at row " + std::to_string(row) +
+                   ", column " + std::to_string(column) +
+                   " — impute or quarantine first");
 }
 
 }  // namespace flare::ml

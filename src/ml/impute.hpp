@@ -29,4 +29,9 @@ namespace flare::ml {
 /// cell there is a caller bug that would silently poison every result.
 void require_finite(const linalg::Matrix& data, const std::string& who);
 
+/// The FaultError require_finite throws for the cell at (`row`, `column`),
+/// for callers that find the cell without a Matrix (the out-of-core pass).
+[[noreturn]] void throw_non_finite(const std::string& who, std::size_t row,
+                                   std::size_t column);
+
 }  // namespace flare::ml

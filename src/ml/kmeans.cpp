@@ -1,13 +1,17 @@
 #include "ml/kmeans.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <numeric>
 #include <string>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
+#include "linalg/kernels.hpp"
 #include "ml/detail/dense_kernels.hpp"
 #include "stats/rng.hpp"
 #include "util/error.hpp"
@@ -18,105 +22,211 @@ namespace {
 
 using detail::dist2_raw;
 using detail::dist2_raw2;
-using detail::dist2_raw4;
 using linalg::Matrix;
 using linalg::squared_distance;
 
-/// Skip margin for the triangle-inequality prune: centroid c provably cannot
-/// beat the current best when d(best_c, c) >= 2·d(x, best_c), i.e.
-/// cdist2 >= 4·best in squared terms. The 1e-9 relative slack dwarfs the
-/// ~1e-15 rounding error of squared_distance, so every skip is proven
-/// *strictly* — a skipped candidate's true distance always exceeds `best`,
-/// never ties it — and pruned results match the naive scan bit for bit.
-constexpr double kPruneMargin = 4.0 + 1e-9;
+// ---- The nearest-centroid scan ----
 
-/// Picks initial centroids with the k-means++ D² distribution (optionally
-/// weighted by per-point importance). With `prune`, the D² refresh skips
-/// points whose nearest centroid already proves the new centroid is farther
-/// (min unchanged), leaving every d2 value — and thus the sampling
-/// distribution — exactly as in the naive refresh.
-///
-/// `seed_hint_out`, when given, receives each point's nearest centroid among
-/// the first k-1 picks (the last pick never runs a refresh). run_lloyd's
-/// first pruned pass seeds its scans with it: a near-optimal anchor makes
-/// the triangle skips fire immediately, where seeding everything at centroid
-/// 0 forces the first pass to compute most of the k candidate distances.
-/// It is only a hint — every assignment is still proven exactly — so it
-/// changes no output.
-Matrix init_kmeanspp(const Matrix& data, std::size_t k,
-                     const std::vector<double>& weights, stats::Rng& rng,
-                     bool prune,
-                     std::vector<std::size_t>* seed_hint_out = nullptr) {
+/// Points per register tile: the centroid column loaded for a coordinate
+/// serves 4 points, whose 4 independent accumulators keep the adder busy.
+constexpr std::size_t kTilePoints = 4;
+
+/// Lane padding of the transposed centroids: every variant's 4-lane group.
+constexpr std::size_t kLanePad = 4;
+
+/// The centroids transposed: values[j · pitch + c] is coordinate j of
+/// centroid c, with pitch = k rounded up to kLanePad. Lanes past k hold NaN,
+/// so their distances are NaN and never win a strict <.
+struct CentroidColumns {
+  explicit CentroidColumns(const Matrix& centroids)
+      : k(centroids.rows()),
+        pitch((k + kLanePad - 1) / kLanePad * kLanePad),
+        values(centroids.cols() * pitch, std::numeric_limits<double>::quiet_NaN()) {
+    for (std::size_t c = 0; c < k; ++c) {
+      for (std::size_t j = 0; j < centroids.cols(); ++j) {
+        values[j * pitch + c] = centroids(c, j);
+      }
+    }
+  }
+  std::size_t k;
+  std::size_t pitch;
+  std::vector<double> values;
+};
+
+/// One tile: points x[0..P) (row-major, `dim` wide) against every centroid.
+using TileFn = void (*)(const double* x, std::size_t dim,
+                        const CentroidColumns& cols, std::size_t* assignment,
+                        double* dist2);
+
+/// Folds a vector tile's per-lane winners into the naive loop's answer.
+/// Lane l saw centroids l, l + L, l + 2L, … in ascending order with a strict
+/// <, so it holds its lowest-index minimum (or DBL_MAX at index 0 if nothing
+/// beat DBL_MAX); the lexicographic (distance, index) minimum over the lanes
+/// is then the lowest-index minimum over all centroids.
+template <std::size_t L>
+void fold_lanes(const double* best, const std::int64_t* best_c,
+                std::size_t& assignment, double& dist2) {
+  std::size_t w = 0;
+  for (std::size_t l = 1; l < L; ++l) {
+    if (best[l] < best[w] || (best[l] == best[w] && best_c[l] < best_c[w])) w = l;
+  }
+  assignment = static_cast<std::size_t>(best_c[w]);
+  dist2 = best[w];
+}
+
+/// The portable tile: 4 centroid lanes at a time, each distance summed over
+/// j ascending, then folded into the running best in index order with a
+/// strict <, exactly as the naive loop walks the centroids.
+template <std::size_t P>
+void scan_tile_baseline(const double* x, std::size_t dim,
+                        const CentroidColumns& cols, std::size_t* assignment,
+                        double* dist2) {
+  constexpr std::size_t kLanes = 4;
+  for (std::size_t p = 0; p < P; ++p) {
+    assignment[p] = 0;
+    dist2[p] = std::numeric_limits<double>::max();
+  }
+  for (std::size_t c0 = 0; c0 < cols.k; c0 += kLanes) {
+    double acc[P][kLanes] = {};
+    for (std::size_t j = 0; j < dim; ++j) {
+      const double* cj = cols.values.data() + j * cols.pitch + c0;
+      for (std::size_t p = 0; p < P; ++p) {
+        for (std::size_t l = 0; l < kLanes; ++l) {
+          const double d = x[p * dim + j] - cj[l];
+          acc[p][l] += d * d;
+        }
+      }
+    }
+    for (std::size_t p = 0; p < P; ++p) {
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        if (acc[p][l] < dist2[p]) {
+          dist2[p] = acc[p][l];
+          assignment[p] = c0 + l;
+        }
+      }
+    }
+  }
+}
+
+#if defined(__x86_64__)
+
+/// The AVX2 tile: ymm acc[p] holds 4 centroid lanes of point p; each
+/// coordinate is one subtract, one multiply and one add per lane (the
+/// build's -ffp-contract=off keeps the pair unfused), and each lane keeps
+/// its running best and index under a strict <.
+template <std::size_t P>
+__attribute__((target("avx2"))) void scan_tile_avx2(
+    const double* x, std::size_t dim, const CentroidColumns& cols,
+    std::size_t* assignment, double* dist2) {
+  constexpr std::size_t kLanes = 4;
+  __m256d best[P];
+  __m256i best_c[P];
+  for (std::size_t p = 0; p < P; ++p) {
+    best[p] = _mm256_set1_pd(std::numeric_limits<double>::max());
+    best_c[p] = _mm256_setzero_si256();
+  }
+  __m256i lane_c = _mm256_set_epi64x(3, 2, 1, 0);
+  for (std::size_t c0 = 0; c0 < cols.k; c0 += kLanes) {
+    __m256d acc[P];
+    for (std::size_t p = 0; p < P; ++p) acc[p] = _mm256_setzero_pd();
+    for (std::size_t j = 0; j < dim; ++j) {
+      const __m256d cj = _mm256_loadu_pd(cols.values.data() + j * cols.pitch + c0);
+#pragma GCC unroll 4
+      for (std::size_t p = 0; p < P; ++p) {
+        const __m256d d = _mm256_sub_pd(_mm256_set1_pd(x[p * dim + j]), cj);
+        acc[p] = _mm256_add_pd(acc[p], _mm256_mul_pd(d, d));
+      }
+    }
+    for (std::size_t p = 0; p < P; ++p) {
+      const __m256d win = _mm256_cmp_pd(acc[p], best[p], _CMP_LT_OQ);
+      best[p] = _mm256_blendv_pd(best[p], acc[p], win);
+      best_c[p] = _mm256_castpd_si256(_mm256_blendv_pd(
+          _mm256_castsi256_pd(best_c[p]), _mm256_castsi256_pd(lane_c), win));
+    }
+    lane_c = _mm256_add_epi64(lane_c, _mm256_set1_epi64x(kLanes));
+  }
+  for (std::size_t p = 0; p < P; ++p) {
+    alignas(32) double d[kLanes];
+    alignas(32) std::int64_t c[kLanes];
+    _mm256_store_pd(d, best[p]);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(c), best_c[p]);
+    fold_lanes<kLanes>(d, c, assignment[p], dist2[p]);
+  }
+}
+
+#endif  // __x86_64__
+
+/// Runs one scan variant: checks the shapes, transposes the centroids once and
+/// runs the full tile over each 4-point group, the 1-point tile over the
+/// n mod 4 tail.
+template <TileFn Full, TileFn Single>
+void scan_points(const Matrix& points, const Matrix& centroids,
+                 std::span<std::size_t> assignment, std::span<double> dist2,
+                 util::ThreadPool* pool) {
+  ensure(centroids.rows() > 0, "nearest_centroids: no centroids");
+  ensure(points.cols() == centroids.cols(),
+         "nearest_centroids: dimension mismatch");
+  ensure(assignment.size() == points.rows() && dist2.size() == points.rows(),
+         "nearest_centroids: output size must match the point count");
+  const CentroidColumns cols(centroids);
+  const std::size_t n = points.rows();
+  const std::size_t dim = points.cols();
+  const double* x = points.data().data();
+  util::maybe_parallel_for(
+      pool, (n + kTilePoints - 1) / kTilePoints, [&](std::size_t t) {
+        const std::size_t i0 = t * kTilePoints;
+        if (i0 + kTilePoints <= n) {
+          Full(x + i0 * dim, dim, cols, assignment.data() + i0,
+               dist2.data() + i0);
+          return;
+        }
+        for (std::size_t i = i0; i < n; ++i) {
+          Single(x + i * dim, dim, cols, assignment.data() + i,
+                 dist2.data() + i);
+        }
+      });
+}
+
+// ---- Seeding ----
+
+/// Draws `k` seeding picks (row indices) under params.init. Random points:
+/// a partial Fisher–Yates shuffle, one step per pick. k-means++: the first
+/// pick uniform (or by weight), each next one by the D² distribution,
+/// optionally weighted by per-point importance. Either way pick c's draw
+/// comes from an RNG state that picks 0..c−1 alone fix, so the first j
+/// picks of a k-pick draw are a j-pick draw.
+std::vector<std::size_t> seed_picks(const Matrix& data, std::size_t k,
+                                    const KMeansParams& params, stats::Rng& rng) {
   const std::size_t n = data.rows();
-  Matrix centroids(k, data.cols());
-  std::vector<double> d2(n, std::numeric_limits<double>::max());
-  std::vector<std::size_t> nearest(n, 0);  ///< argmin centroid behind d2
-  Matrix cdist2(k, k);                     ///< centroid–centroid, grown per pick
-  const auto w = [&](std::size_t i) { return weights.empty() ? 1.0 : weights[i]; };
-
+  if (params.init == KMeansInit::kRandomPoints) {
+    return rng.sample_without_replacement(n, k);
+  }
+  const std::vector<double>& weights = params.weights;
   const std::size_t dim = data.cols();
   const double* points = data.data().data();
-  const double* cents = centroids.data().data();
+  std::vector<double> d2(n, std::numeric_limits<double>::max());
+  const auto w = [&](std::size_t i) { return weights.empty() ? 1.0 : weights[i]; };
 
+  std::vector<std::size_t> picks;
+  picks.reserve(k);
   std::size_t first = static_cast<std::size_t>(rng.uniform_int(0, n - 1));
   if (!weights.empty()) first = rng.weighted_index(weights);
-  centroids.set_row(0, data.row(first));
+  picks.push_back(first);
   for (std::size_t c = 1; c < k; ++c) {
-    const std::size_t fresh = c - 1;  // centroid added by the previous round
-    const double* fresh_row = cents + fresh * dim;
-    if (prune) {
-      for (std::size_t p = 0; p < fresh; ++p) {
-        const double d = dist2_raw(cents + p * dim, fresh_row, dim);
-        cdist2(p, fresh) = d;
-        cdist2(fresh, p) = d;
-      }
+    // D² against the previous pick, two points' distance chains interleaved
+    // (dist2_raw2 gives each the bits of its own squared_distance call).
+    const double* fresh = points + picks.back() * dim;
+    std::size_t pair = 0;
+    for (; pair + 1 < n; pair += 2) {
+      double a;
+      double b;
+      dist2_raw2(points + pair * dim, fresh, points + (pair + 1) * dim, fresh, dim, a, b);
+      d2[pair] = std::min(d2[pair], a);
+      d2[pair + 1] = std::min(d2[pair + 1], b);
     }
+    if (pair < n) d2[pair] = std::min(d2[pair], dist2_raw(points + pair * dim, fresh, dim));
     double total = 0.0;
-    if (prune) {
-      // Refresh pass first, totals after: per-point updates are independent,
-      // so splitting the loops changes no value and lets two surviving
-      // points' distance chains run interleaved (dist2_raw2).
-      std::size_t pending = n;  ///< first survivor of an unfinished pair
-      for (std::size_t i = 0; i < n; ++i) {
-        if (fresh > 0 && cdist2(nearest[i], fresh) >= d2[i] * kPruneMargin) {
-          continue;  // nearest centroid proves the fresh one is farther
-        }
-        if (pending == n) {
-          pending = i;
-          continue;
-        }
-        double dp;
-        double di;
-        dist2_raw2(points + pending * dim, fresh_row, points + i * dim,
-                   fresh_row, dim, dp, di);
-        if (dp < d2[pending]) {
-          d2[pending] = dp;
-          nearest[pending] = fresh;
-        }
-        if (di < d2[i]) {
-          d2[i] = di;
-          nearest[i] = fresh;
-        }
-        pending = n;
-      }
-      if (pending != n) {
-        const double d = dist2_raw(points + pending * dim, fresh_row, dim);
-        if (d < d2[pending]) {
-          d2[pending] = d;
-          nearest[pending] = fresh;
-        }
-      }
-      for (std::size_t i = 0; i < n; ++i) total += d2[i] * w(i);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        const double d = squared_distance(data.row(i), centroids.row(fresh));
-        if (d < d2[i]) {
-          d2[i] = d;
-          nearest[i] = fresh;
-        }
-        total += d2[i] * w(i);
-      }
-    }
+    for (std::size_t i = 0; i < n; ++i) total += d2[i] * w(i);
     std::size_t chosen = 0;
     if (total > 0.0) {
       double target = rng.uniform() * total;
@@ -131,18 +241,9 @@ Matrix init_kmeanspp(const Matrix& data, std::size_t k,
       // All points identical to existing centroids; any choice works.
       chosen = static_cast<std::size_t>(rng.uniform_int(0, n - 1));
     }
-    centroids.set_row(c, data.row(chosen));
+    picks.push_back(chosen);
   }
-  if (seed_hint_out != nullptr) *seed_hint_out = nearest;
-  return centroids;
-}
-
-/// Picks k distinct random data points as initial centroids.
-Matrix init_random(const Matrix& data, std::size_t k, stats::Rng& rng) {
-  const std::vector<std::size_t> picks = rng.sample_without_replacement(data.rows(), k);
-  Matrix centroids(k, data.cols());
-  for (std::size_t c = 0; c < k; ++c) centroids.set_row(c, data.row(picks[c]));
-  return centroids;
+  return picks;
 }
 
 /// Throws FaultError naming the first non-finite cell of `m` (a `what`).
@@ -157,6 +258,27 @@ void reject_non_finite(const Matrix& m, const char* what) {
   }
 }
 
+/// The checks kmeans and kmeans_seeds share, for `k` clusters.
+void check_inputs(const Matrix& data, const KMeansParams& params, std::size_t k) {
+  ensure(k >= 1, "kmeans: k must be at least 1");
+  ensure(data.rows() >= k, "kmeans: k exceeds the number of points");
+  ensure(params.max_iterations > 0, "kmeans: max_iterations must be positive");
+  ensure(params.restarts > 0, "kmeans: restarts must be positive");
+  ensure(params.weights.empty() || params.weights.size() == data.rows(),
+         "kmeans: weights must be empty or match the point count");
+  // Non-finite input would turn centroids into NaN; reject it up front,
+  // positioned.
+  for (std::size_t i = 0; i < params.weights.size(); ++i) {
+    if (!std::isfinite(params.weights[i])) {
+      throw FaultError("kmeans: non-finite weight at row " + std::to_string(i));
+    }
+    ensure(params.weights[i] >= 0.0, "kmeans: weights must be non-negative");
+  }
+  reject_non_finite(data, "value");
+}
+
+// ---- Lloyd ----
+
 struct LloydOutcome {
   Matrix centroids;
   std::vector<std::size_t> assignment;
@@ -166,278 +288,8 @@ struct LloydOutcome {
   bool converged = false;
 };
 
-/// Conservative scaling for bounds kept in real-distance (sqrt) space: the
-/// 1e-12 relative slack dwarfs the accumulated rounding error of a sqrt plus
-/// one decay subtraction per Lloyd iteration (~1e-16 relative each), so
-/// "loosened" lower bounds stay true lower bounds and "inflated" upper bounds
-/// stay true upper bounds under FP.
-double lower(double d) { return d * (1.0 - 1e-12); }
-double upper(double d) { return d * (1.0 + 1e-12); }
-
-/// Working set the per-centroid bounds may take: n·k doubles. Inputs that fit
-/// carry one lower bound per (point, centroid) pair (Elkan); larger ones —
-/// e.g. minibatch_kmeans' full-data refine — carry one lower bound per point
-/// (Hamerly), so memory stays O(n). The layout is a function of n·k alone and
-/// changes no output.
-constexpr std::size_t kPerCentroidBoundBytes = std::size_t{1} << 20;
-
-/// Everything a Lloyd run reuses across passes: the carried bounds, the
-/// per-pass centroid geometry and the update step's accumulators. Allocated
-/// once per run, not once per iteration.
-struct LloydScratch {
-  LloydScratch(std::size_t n, std::size_t k, std::size_t dim, bool prune)
-      : per_centroid(n * k <= kPerCentroidBoundBytes / sizeof(double)),
-        next(k, dim),
-        counts(k),
-        mass(k),
-        move_hi(k),
-        previous(n) {
-    if (!prune) return;
-    // -inf ("know nothing") makes the first pass compute like the naive scan.
-    bounds.assign(per_centroid ? n * k : n,
-                  -std::numeric_limits<double>::infinity());
-    cdist2 = Matrix(k, k);
-    cdist_lo = Matrix(k, k);
-    min_cd2.resize(k);
-    min_cd_lo.resize(k);
-  }
-
-  /// Real-distance lower bounds carried across passes, empty when not
-  /// pruning. Per-centroid layout (Elkan): entry i·k + c bounds d(x_i, c) and
-  /// decays by centroid c's own movement. O(n) layout (Hamerly): entry i
-  /// bounds d(x_i, c) for every c but the assigned centroid and decays by the
-  /// largest movement among those.
-  bool per_centroid;
-  std::vector<double> bounds;
-  Matrix cdist2;                  ///< centroid–centroid squared distances
-  Matrix cdist_lo;                ///< lower(sqrt(cdist2))
-  std::vector<double> min_cd2;    ///< per centroid: nearest other centroid
-  std::vector<double> min_cd_lo;  ///< lower(sqrt(min_cd2))
-  Matrix next;                    ///< update step: next centroids
-  std::vector<std::size_t> counts;
-  std::vector<double> mass;
-  std::vector<double> move_hi;    ///< upper(real move) per centroid
-  std::vector<std::size_t> previous;  ///< assignment before the current pass
-  /// Bound decay owed by the next pass: the last update moved centroids by
-  /// move_hi. biggest/decay1/decay2: the largest mover, its move_hi and the
-  /// runner-up's (the O(n) layout's decay).
-  bool decay_pending = false;
-  std::size_t biggest = 0;
-  double decay1 = 0.0;
-  double decay2 = 0.0;
-};
-
-/// Assigns every point to its nearest centroid, filling `assignment` and
-/// `dist2`, and returns the (weighted) SSE. The naive scan walks candidates
-/// in index order with a running strict-< best, so ties resolve to the
-/// lowest centroid index.
-///
-/// The pruned pass produces the naive result bit for bit while skipping most
-/// distance evaluations; every skip is *strictly* proven (margins leave no
-/// room for an exact tie, so tie-breaking can never diverge):
-///  - a first sweep computes every point's exact distance to its current
-///    centroid (the previous assignment, or the seeding hint), four points'
-///    FP chains interleaved (dist2_raw4). Lloyd moves centroids little per
-///    iteration, so this seed is usually the winner or close to it;
-///  - the carried bounds (see LloydScratch) first absorb the decay owed by
-///    the last centroid move. Per-centroid layout: candidate c is skipped
-///    when lo(x, c) > upper(d(x, seed)). O(n) layout: the whole scan is
-///    skipped when lb(x) > upper(d(x, seed)), or when even the seed's
-///    nearest other centroid is more than twice as far as the point (s(c));
-///  - a remaining candidate c is skipped when the triangle inequality proves
-///    d(x, c) > best via centroid–centroid distances (see kPruneMargin). The
-///    triangle skips need best > 0 when the current best index sits above
-///    c: at best == 0 a duplicate centroid could tie rather than lose.
-/// Surviving candidates are computed four at a time (dist2_raw4) and folded
-/// in as the lexicographic min of (distance, index) — the naive winner, no
-/// matter which candidates were skipped. A candidate is tested against the
-/// best known when it is queued, i.e. before its batch-mates are folded in;
-/// a staler best only makes a skip test more conservative. Every computed
-/// distance and every triangle skip refreshes the carried bounds.
-/// dist2 is exact in every path (the winning distance is always computed,
-/// never bounded). Points are independent, and the SSE is reduced serially
-/// in point order, so the result is also identical for every thread count.
-double assign_points(const Matrix& data, const Matrix& centroids,
-                     const KMeansParams& params, util::ThreadPool* pool,
-                     std::vector<std::size_t>& assignment,
-                     std::vector<double>& dist2, LloydScratch& scratch) {
-  const std::size_t n = data.rows();
-  const std::size_t k = centroids.rows();
-  const std::size_t dim = data.cols();
-  const double* points = data.data().data();
-  const double* cents = centroids.data().data();
-  if (!scratch.bounds.empty()) {
-    Matrix& cdist2 = scratch.cdist2;
-    Matrix& cdist_lo = scratch.cdist_lo;
-    std::vector<double>& min_cd2 = scratch.min_cd2;
-    std::vector<double>& min_cd_lo = scratch.min_cd_lo;
-    std::fill(min_cd2.begin(), min_cd2.end(), std::numeric_limits<double>::max());
-    for (std::size_t a = 0; a < k; ++a) {
-      for (std::size_t b = a + 1; b < k; ++b) {
-        const double d = dist2_raw(cents + a * dim, cents + b * dim, dim);
-        cdist2(a, b) = d;
-        cdist2(b, a) = d;
-        const double lo = lower(std::sqrt(d));
-        cdist_lo(a, b) = lo;
-        cdist_lo(b, a) = lo;
-        min_cd2[a] = std::min(min_cd2[a], d);
-        min_cd2[b] = std::min(min_cd2[b], d);
-      }
-    }
-    for (std::size_t c = 0; c < k; ++c) min_cd_lo[c] = lower(std::sqrt(min_cd2[c]));
-
-    util::maybe_parallel_for(pool, (n + 3) / 4, [&](std::size_t g) {
-      const std::size_t i0 = 4 * g;
-      if (i0 + 4 > n) {
-        for (std::size_t i = i0; i < n; ++i) {
-          dist2[i] = dist2_raw(points + i * dim, cents + assignment[i] * dim, dim);
-        }
-        return;
-      }
-      const double* a[4] = {};
-      const double* b[4] = {};
-      for (std::size_t m = 0; m < 4; ++m) {
-        a[m] = points + (i0 + m) * dim;
-        b[m] = cents + assignment[i0 + m] * dim;
-      }
-      dist2_raw4(a, b, dim, dist2.data() + i0);
-    });
-
-    const bool per_centroid = scratch.per_centroid;
-    const bool decay = scratch.decay_pending;
-    const double* move_hi = scratch.move_hi.data();
-    double* bounds = scratch.bounds.data();
-    scratch.decay_pending = false;
-    util::maybe_parallel_for(pool, n, [&](std::size_t i) {
-      const double* point = points + i * dim;
-      const std::size_t seed = assignment[i];
-      double best = dist2[i];
-      std::size_t best_c = seed;
-      const double root = std::sqrt(best);
-      double best_ub = upper(root);  ///< tracks upper(sqrt(best))
-      double* lo = per_centroid ? bounds + i * k : nullptr;
-      if (!per_centroid) {
-        if (decay) bounds[i] -= seed == scratch.biggest ? scratch.decay2 : scratch.decay1;
-        if (bounds[i] > best_ub) {
-          // Every other centroid is strictly farther than the seed: keep it.
-          // s(c) can only tighten the carried bound.
-          bounds[i] = std::max(bounds[i], min_cd_lo[seed] - best_ub);
-          return;
-        }
-        if (min_cd2[seed] >= best * kPruneMargin && best > 0.0) {
-          // Even the NEAREST other centroid is strictly too far (s(c) test):
-          // for any c != seed, d(x, c) >= d(seed, c) - d(x, seed).
-          bounds[i] = min_cd_lo[seed] - best_ub;
-          return;
-        }
-      }
-      double second = std::numeric_limits<double>::max();      // exact, squared
-      double skipped_lo = std::numeric_limits<double>::max();  // real-distance
-      const auto apply = [&](double d, std::size_t c) {
-        if (per_centroid) lo[c] = lower(std::sqrt(d));
-        if (d < best || (d == best && c < best_c)) {
-          second = std::min(second, best);
-          best = d;
-          best_c = c;
-          best_ub = upper(std::sqrt(best));
-        } else {
-          second = std::min(second, d);
-        }
-      };
-      std::size_t queued[4] = {};
-      std::size_t count = 0;
-      const auto compute_queued = [&] {
-        const double* c0 = cents + queued[0] * dim;
-        if (count >= 3) {
-          if (count == 3) queued[3] = queued[2];  // computed, not folded in
-          const double* a[4] = {point, point, point, point};
-          const double* b[4] = {c0, cents + queued[1] * dim,
-                                cents + queued[2] * dim, cents + queued[3] * dim};
-          double d[4];
-          dist2_raw4(a, b, dim, d);
-          for (std::size_t m = 0; m < count; ++m) apply(d[m], queued[m]);
-        } else if (count == 2) {
-          double d0;
-          double d1;
-          dist2_raw2(point, c0, point, cents + queued[1] * dim, dim, d0, d1);
-          apply(d0, queued[0]);
-          apply(d1, queued[1]);
-        } else if (count == 1) {
-          apply(dist2_raw(point, c0, dim), queued[0]);
-        }
-        count = 0;
-      };
-      // Candidates in blocks of 64. A branch-free sweep lists the ones whose
-      // carried bound does not already prove them farther than the seed
-      // (as offsets from `base`), applying the owed decay on the way; only
-      // listed ones are visited.
-      for (std::size_t base = 0; base < k; base += 64) {
-        const std::size_t width = std::min<std::size_t>(64, k - base);
-        std::uint8_t listed[64] = {};
-        std::size_t live = 0;
-        for (std::size_t m = 0; m < width; ++m) {
-          double v = per_centroid ? lo[base + m] : -std::numeric_limits<double>::infinity();
-          if (per_centroid && decay) {
-            v -= move_hi[base + m];
-            lo[base + m] = v;
-          }
-          listed[live] = static_cast<std::uint8_t>(m);
-          live += static_cast<std::size_t>((v <= best_ub) & (base + m != seed));
-        }
-        for (std::size_t j = 0; j < live; ++j) {
-          const std::size_t c = base + listed[j];
-          if (per_centroid && lo[c] > best_ub) continue;  // best improved since
-          if (cdist2(best_c, c) >= best * kPruneMargin && (c > best_c || best > 0.0)) {
-            // d(x, c) >= d(best_c, c) - d(x, best_c): a lower bound to carry.
-            const double tri = cdist_lo(best_c, c) - best_ub;
-            if (per_centroid) {
-              lo[c] = std::max(lo[c], tri);
-            } else {
-              skipped_lo = std::min(skipped_lo, tri);
-            }
-            continue;
-          }
-          queued[count++] = c;
-          if (count == 4) compute_queued();
-        }
-      }
-      compute_queued();
-      if (per_centroid) {
-        lo[seed] = lower(root);  // the sweep above only decayed it
-      } else {
-        bounds[i] = std::min(lower(std::sqrt(second)), skipped_lo);
-      }
-      assignment[i] = best_c;
-      dist2[i] = best;
-    });
-  } else {
-    util::maybe_parallel_for(pool, n, [&](std::size_t i) {
-      const auto point = data.row(i);
-      double best = std::numeric_limits<double>::max();
-      std::size_t best_c = 0;
-      for (std::size_t c = 0; c < k; ++c) {
-        const double d = squared_distance(point, centroids.row(c));
-        if (d < best) {
-          best = d;
-          best_c = c;
-        }
-      }
-      assignment[i] = best_c;
-      dist2[i] = best;
-    });
-  }
-  double sse = 0.0;
-  if (params.weights.empty()) {
-    for (std::size_t i = 0; i < n; ++i) sse += dist2[i];
-  } else {
-    for (std::size_t i = 0; i < n; ++i) sse += dist2[i] * params.weights[i];
-  }
-  return sse;
-}
-
 LloydOutcome run_lloyd(const Matrix& data, Matrix centroids,
-                       const KMeansParams& params, util::ThreadPool* pool,
-                       std::vector<std::size_t> seed_hint = {}) {
+                       const KMeansParams& params, util::ThreadPool* pool) {
   const std::size_t n = data.rows();
   const std::size_t k = params.k;
   const std::size_t dim = data.cols();
@@ -446,26 +298,29 @@ LloydOutcome run_lloyd(const Matrix& data, Matrix centroids,
   };
 
   LloydOutcome out;
-  // The hint only seeds the first pruned scan's anchors (see init_kmeanspp);
-  // with no hint every point starts at centroid 0, as the naive scan does.
-  if (seed_hint.size() == n) {
-    out.assignment = std::move(seed_hint);
-  } else {
-    out.assignment.assign(n, 0);
-  }
+  out.assignment.assign(n, 0);
   out.dist2.assign(n, 0.0);
-  LloydScratch scratch(n, k, dim, params.prune && k > 1);
-  Matrix& next = scratch.next;
-  std::vector<std::size_t>& counts = scratch.counts;
-  std::vector<double>& mass = scratch.mass;
-  std::vector<double>& move_hi = scratch.move_hi;
+  // Reused across passes: the update's accumulators and the assignment
+  // before the current pass.
+  Matrix next(k, dim);
+  std::vector<std::size_t> counts(k);
+  std::vector<double> mass(k);
+  std::vector<std::size_t> previous(n);
   bool repaired = false;  ///< did the last update re-seed a centroid?
   bool final_pass_done = false;  ///< `out` already holds the final centroids' pass
+  // An assignment pass: the scan, then the (weighted) SSE reduced serially
+  // in point order, so it is the same for every thread count.
+  const auto assign = [&] {
+    nearest_centroids(data, centroids, out.assignment, out.dist2, pool);
+    out.sse = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      out.sse += params.weights.empty() ? out.dist2[i] : out.dist2[i] * w(i);
+    }
+  };
 
   for (int iter = 0; iter < params.max_iterations; ++iter) {
-    std::copy(out.assignment.begin(), out.assignment.end(), scratch.previous.begin());
-    out.sse = assign_points(data, centroids, params, pool, out.assignment,
-                            out.dist2, scratch);
+    std::copy(out.assignment.begin(), out.assignment.end(), previous.begin());
+    assign();
 
     // Membership unchanged and the current centroids are plain means of that
     // membership (iter > 0, no repair): recomputing the update would rebuild
@@ -473,13 +328,12 @@ LloydOutcome run_lloyd(const Matrix& data, Matrix centroids,
     // just made is then also the final pass. (A repaired centroid is not a
     // mean, so its re-repair could pick a different point.)
     if (iter > 0 && !repaired && params.tolerance >= 0.0 &&
-        out.assignment == scratch.previous) {
+        out.assignment == previous) {
       out.iterations = iter + 1;
       out.converged = true;
       final_pass_done = true;
       break;
     }
-
     // Update step (weighted means when point weights are given; the
     // unweighted loop skips the ×1.0, which changes no bit).
     std::fill_n(&next(0, 0), k * dim, 0.0);
@@ -530,34 +384,8 @@ LloydOutcome run_lloyd(const Matrix& data, Matrix centroids,
 
     // Convergence: total squared centroid movement.
     double movement = 0.0;
-    double max_move2 = 0.0;
     for (std::size_t c = 0; c < k; ++c) {
-      const double m2 = squared_distance(next.row(c), centroids.row(c));
-      movement += m2;
-      max_move2 = std::max(max_move2, m2);
-      move_hi[c] = m2 > 0.0 ? upper(std::sqrt(m2)) : 0.0;
-    }
-    // Centroids moved: every lower bound decays by how far the centroids it
-    // covers may have come closer. The next pass applies the decay to each
-    // point as it visits it. In the O(n) layout one bound covers every
-    // centroid but the assigned one, so it decays by the largest movement
-    // among those — a point assigned to the biggest mover decays by the
-    // runner-up (Hamerly's refinement). Inflating the adjustments (move_hi
-    // is upper(real move)) keeps the bounds conservative under FP.
-    if (max_move2 > 0.0 && !scratch.bounds.empty()) {
-      scratch.decay_pending = true;
-      scratch.biggest = 0;
-      scratch.decay1 = 0.0;
-      scratch.decay2 = 0.0;
-      for (std::size_t c = 0; c < k; ++c) {
-        if (move_hi[c] > scratch.decay1) {
-          scratch.decay2 = scratch.decay1;
-          scratch.decay1 = move_hi[c];
-          scratch.biggest = c;
-        } else {
-          scratch.decay2 = std::max(scratch.decay2, move_hi[c]);
-        }
-      }
+      movement += squared_distance(next.row(c), centroids.row(c));
     }
     std::swap(centroids, next);
     out.iterations = iter + 1;
@@ -568,12 +396,67 @@ LloydOutcome run_lloyd(const Matrix& data, Matrix centroids,
   }
 
   // Final assignment against the final centroids (keeps sse consistent).
-  if (!final_pass_done) {
-    out.sse = assign_points(data, centroids, params, pool, out.assignment,
-                            out.dist2, scratch);
-  }
+  if (!final_pass_done) assign();
   out.centroids = std::move(centroids);
   return out;
+}
+
+/// The best of params.restarts Lloyd runs: restart r starts from the rows
+/// (*seeds)[r][0..k), or from fresh picks without `seeds`, and restart 0
+/// from the warm centroids when there are k of them. Expects checked inputs.
+KMeansResult best_of_restarts(const Matrix& data, const KMeansParams& params,
+                              const KMeansSeeds* seeds, util::ThreadPool* pool) {
+  const bool warm = params.initial_centroids.rows() == params.k;
+  ensure(!warm || params.initial_centroids.cols() == data.cols(),
+         "kmeans: initial_centroids dimension mismatch");
+  if (warm) reject_non_finite(params.initial_centroids, "initial centroid");
+
+  // Degrade to serial instead of deadlocking when a caller forwards the pool
+  // from inside one of its own tasks (e.g. a per-k sweep worker).
+  if (pool != nullptr && pool->on_worker_thread()) pool = nullptr;
+
+  const stats::Rng rng(params.seed);
+  const std::size_t restarts = static_cast<std::size_t>(params.restarts);
+  std::vector<LloydOutcome> outcomes(restarts);
+  const auto run_restart = [&](std::size_t r, util::ThreadPool* inner) {
+    Matrix init;
+    if (r == 0 && warm) {
+      init = params.initial_centroids;
+    } else if (seeds != nullptr) {
+      init = data.select_rows(std::span((*seeds)[r]).first(params.k));
+    } else {
+      stats::Rng restart_rng = rng.fork(static_cast<std::uint64_t>(r));
+      init = data.select_rows(seed_picks(data, params.k, params, restart_rng));
+    }
+    outcomes[r] = run_lloyd(data, std::move(init), params, inner);
+  };
+  if (pool != nullptr && restarts > 1) {
+    // Restarts are fully independent (forked RNG streams), so they are the
+    // natural parallel grain; each Lloyd then runs serially in its worker.
+    util::parallel_for(*pool, restarts,
+                       [&](std::size_t r) { run_restart(r, nullptr); });
+  } else {
+    for (std::size_t r = 0; r < restarts; ++r) run_restart(r, pool);
+  }
+
+  // Lowest SSE wins; scanning in restart order makes ties resolve to the
+  // first restart, matching the serial loop regardless of thread count.
+  std::size_t winner = 0;
+  for (std::size_t r = 1; r < restarts; ++r) {
+    if (outcomes[r].sse < outcomes[winner].sse) winner = r;
+  }
+  LloydOutcome& best = outcomes[winner];
+
+  KMeansResult result;
+  result.centroids = std::move(best.centroids);
+  result.assignment = std::move(best.assignment);
+  result.point_distances = std::move(best.dist2);
+  result.sse = best.sse;
+  result.iterations = best.iterations;
+  result.converged = best.converged;
+  result.cluster_sizes.assign(params.k, 0);
+  for (const std::size_t c : result.assignment) ++result.cluster_sizes[c];
+  return result;
 }
 
 }  // namespace
@@ -626,76 +509,68 @@ std::vector<std::size_t> KMeansResult::members_by_distance(const linalg::Matrix&
 
 KMeansResult kmeans(const linalg::Matrix& data, const KMeansParams& params,
                     util::ThreadPool* pool) {
-  ensure(params.k >= 1, "kmeans: k must be at least 1");
-  ensure(data.rows() >= params.k, "kmeans: k exceeds the number of points");
-  ensure(params.max_iterations > 0, "kmeans: max_iterations must be positive");
-  ensure(params.restarts > 0, "kmeans: restarts must be positive");
-  ensure(params.weights.empty() || params.weights.size() == data.rows(),
-         "kmeans: weights must be empty or match the point count");
-  // Non-finite input would turn centroids into NaN and void every pruning
-  // bound; reject it up front, positioned.
-  for (std::size_t i = 0; i < params.weights.size(); ++i) {
-    if (!std::isfinite(params.weights[i])) {
-      throw FaultError("kmeans: non-finite weight at row " + std::to_string(i));
-    }
-    ensure(params.weights[i] >= 0.0, "kmeans: weights must be non-negative");
-  }
-  reject_non_finite(data, "value");
-  const bool warm = params.initial_centroids.rows() == params.k;
-  ensure(!warm || params.initial_centroids.cols() == data.cols(),
-         "kmeans: initial_centroids dimension mismatch");
-  if (warm) reject_non_finite(params.initial_centroids, "initial centroid");
-
-  // Degrade to serial instead of deadlocking when a caller forwards the pool
-  // from inside one of its own tasks (e.g. a per-k sweep worker).
-  if (pool != nullptr && pool->on_worker_thread()) pool = nullptr;
-
-  const stats::Rng rng(params.seed);
-  const std::size_t restarts = static_cast<std::size_t>(params.restarts);
-  std::vector<LloydOutcome> outcomes(restarts);
-  const auto run_restart = [&](std::size_t r, util::ThreadPool* inner) {
-    if (r == 0 && warm) {
-      // Warm start: no seeding run, no seed hint (the first pruned pass
-      // anchors every point at centroid 0, as a hintless cold start does).
-      outcomes[r] = run_lloyd(data, params.initial_centroids, params, inner);
-      return;
-    }
-    stats::Rng restart_rng = rng.fork(static_cast<std::uint64_t>(r));
-    std::vector<std::size_t> seed_hint;
-    Matrix init = params.init == KMeansInit::kKMeansPlusPlus
-                      ? init_kmeanspp(data, params.k, params.weights, restart_rng,
-                                      params.prune, &seed_hint)
-                      : init_random(data, params.k, restart_rng);
-    outcomes[r] =
-        run_lloyd(data, std::move(init), params, inner, std::move(seed_hint));
-  };
-  if (pool != nullptr && restarts > 1) {
-    // Restarts are fully independent (forked RNG streams), so they are the
-    // natural parallel grain; each Lloyd then runs serially in its worker.
-    util::parallel_for(*pool, restarts,
-                       [&](std::size_t r) { run_restart(r, nullptr); });
-  } else {
-    for (std::size_t r = 0; r < restarts; ++r) run_restart(r, pool);
-  }
-
-  // Lowest SSE wins; scanning in restart order makes ties resolve to the
-  // first restart, matching the serial loop regardless of thread count.
-  std::size_t winner = 0;
-  for (std::size_t r = 1; r < restarts; ++r) {
-    if (outcomes[r].sse < outcomes[winner].sse) winner = r;
-  }
-  LloydOutcome& best = outcomes[winner];
-
-  KMeansResult result;
-  result.centroids = std::move(best.centroids);
-  result.assignment = std::move(best.assignment);
-  result.point_distances = std::move(best.dist2);
-  result.sse = best.sse;
-  result.iterations = best.iterations;
-  result.converged = best.converged;
-  result.cluster_sizes.assign(params.k, 0);
-  for (const std::size_t c : result.assignment) ++result.cluster_sizes[c];
-  return result;
+  check_inputs(data, params, params.k);
+  return best_of_restarts(data, params, nullptr, pool);
 }
+
+KMeansSeeds kmeans_seeds(const linalg::Matrix& data, const KMeansParams& params,
+                         std::size_t k_max, util::ThreadPool* pool) {
+  check_inputs(data, params, k_max);
+  if (pool != nullptr && pool->on_worker_thread()) pool = nullptr;
+  const stats::Rng rng(params.seed);
+  KMeansSeeds seeds(static_cast<std::size_t>(params.restarts));
+  util::maybe_parallel_for(pool, seeds.size(), [&](std::size_t r) {
+    stats::Rng restart_rng = rng.fork(static_cast<std::uint64_t>(r));
+    seeds[r] = seed_picks(data, k_max, params, restart_rng);
+  });
+  return seeds;
+}
+
+KMeansResult kmeans(const linalg::Matrix& data, const KMeansParams& params,
+                    const KMeansSeeds& seeds, util::ThreadPool* pool) {
+  check_inputs(data, params, params.k);
+  ensure(seeds.size() == static_cast<std::size_t>(params.restarts),
+         "kmeans: seeds must hold one pick list per restart");
+  for (const std::vector<std::size_t>& picks : seeds) {
+    ensure(picks.size() >= params.k &&
+               std::all_of(picks.begin(), picks.begin() + params.k,
+                           [&](std::size_t i) { return i < data.rows(); }),
+           "kmeans: each restart needs k seed picks that are rows");
+  }
+  return best_of_restarts(data, params, &seeds, pool);
+}
+
+void nearest_centroids(const linalg::Matrix& points, const linalg::Matrix& centroids,
+                       std::span<std::size_t> assignment, std::span<double> dist2,
+                       util::ThreadPool* pool) {
+  if (linalg::detail::avx2_available()) {
+    detail::nearest_centroids_avx2(points, centroids, assignment, dist2, pool);
+  } else {
+    detail::nearest_centroids_baseline(points, centroids, assignment, dist2, pool);
+  }
+}
+
+namespace detail {
+
+void nearest_centroids_baseline(const linalg::Matrix& points,
+                                const linalg::Matrix& centroids,
+                                std::span<std::size_t> assignment,
+                                std::span<double> dist2, util::ThreadPool* pool) {
+  scan_points<scan_tile_baseline<kTilePoints>, scan_tile_baseline<1>>(
+      points, centroids, assignment, dist2, pool);
+}
+
+void nearest_centroids_avx2(const linalg::Matrix& points,
+                            const linalg::Matrix& centroids,
+                            std::span<std::size_t> assignment,
+                            std::span<double> dist2, util::ThreadPool* pool) {
+  ensure(linalg::detail::avx2_available(), "nearest_centroids: no AVX2");
+#if defined(__x86_64__)
+  scan_points<scan_tile_avx2<kTilePoints>, scan_tile_avx2<1>>(
+      points, centroids, assignment, dist2, pool);
+#endif
+}
+
+}  // namespace detail
 
 }  // namespace flare::ml

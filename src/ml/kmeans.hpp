@@ -2,17 +2,19 @@
 // restarts. The paper groups 895 whitened scenario vectors into 18 clusters
 // and takes the member nearest each centroid as the representative scenario.
 //
-// The assignment step prunes with lower bounds carried across Lloyd passes
-// and the triangle inequality: one bound per (point, centroid) pair (Elkan)
-// while n·k doubles fit a 1 MiB working set, one per point (Hamerly) beyond
-// it, and centroid–centroid distance tests, so most of the k distance
-// evaluations per point are skipped. Pruning only ever skips
-// provably-losing candidates, so the output is bit-identical to the naive
-// scan (`KMeansParams::prune` toggles it for verification/benchmarks).
+// Every Lloyd pass assigns points with one exact scan (nearest_centroids):
+// each point's distance to every centroid, computed in register tiles with
+// linalg::squared_distance's operations in its order, and the lowest index
+// winning a tie, so the result is the naive loop's bit for bit. A k-sweep
+// seeds each restart once at its largest k (kmeans_seeds) and starts every
+// k from a prefix of those picks, which are the picks kmeans would draw at
+// that k.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "linalg/matrix.hpp"
 
@@ -30,9 +32,6 @@ struct KMeansParams {
   double tolerance = 1e-7;       ///< stop when centroid movement² falls below
   std::uint64_t seed = 42;
   KMeansInit init = KMeansInit::kKMeansPlusPlus;
-  /// Triangle-inequality pruning of the assignment step. Output is identical
-  /// with or without it; off exists for tests and speedup benchmarks.
-  bool prune = true;
   /// Optional warm start: when this holds exactly `k` rows, restart 0 skips
   /// the seeding policy and starts Lloyd from these centroids verbatim (the
   /// remaining restarts seed as usual, so a poor warm start can only lose
@@ -86,5 +85,58 @@ struct KMeansResult {
 /// Results are bit-identical for every thread count, including pool == null.
 [[nodiscard]] KMeansResult kmeans(const linalg::Matrix& data, const KMeansParams& params,
                                   util::ThreadPool* pool = nullptr);
+
+/// Each restart's seeding picks (row indices of the data), restart by restart.
+using KMeansSeeds = std::vector<std::vector<std::size_t>>;
+
+/// Draws the first `k_max` seeding picks of every restart of `params` (its
+/// init, seed, restarts and weights; params.k is ignored). Pick c's draw
+/// comes from an RNG state that picks 0..c−1 alone fix, so the first k picks
+/// are exactly those kmeans draws at k: one draw at a sweep's largest k
+/// seeds every k. Throws like kmeans, with k_max in place of k. Restarts
+/// draw concurrently on `pool`, to the same picks for every thread count.
+[[nodiscard]] KMeansSeeds kmeans_seeds(const linalg::Matrix& data,
+                                       const KMeansParams& params, std::size_t k_max,
+                                       util::ThreadPool* pool = nullptr);
+
+/// kmeans(data, params, pool), restart r starting from the rows
+/// seeds[r][0..k) instead of fresh picks (restart 0 still takes a warm
+/// start), so seeds from kmeans_seeds over the same data and params give
+/// its result bit for bit. Throws std::invalid_argument unless `seeds`
+/// holds, for every restart, at least k picks that are rows.
+[[nodiscard]] KMeansResult kmeans(const linalg::Matrix& data, const KMeansParams& params,
+                                  const KMeansSeeds& seeds,
+                                  util::ThreadPool* pool = nullptr);
+
+/// The nearest-centroid scan of every Lloyd pass and of
+/// core::stages::assign_to_nearest: assignment[i] is the index of the row of
+/// `centroids` nearest row i of `points`, dist2[i] its squared distance.
+/// The result is the naive loop's bit for bit: each distance sums
+/// (x_j − c_j)² over j ascending from 0.0 with a separate multiply and add,
+/// and a strict-< best from DBL_MAX at index 0 takes the centroids in index
+/// order, so the lowest index wins a tie. The centroids are transposed into
+/// dim × 4-lane columns once per call, and register tiles of 4 points × 4
+/// centroid lanes (AVX2 ymm registers, or plain doubles in the portable
+/// baseline) accumulate distances; the variant is chosen once per process
+/// from the CPU. Tasks own 4-point
+/// tiles, so `pool` changes no bit. Throws std::invalid_argument on a shape
+/// mismatch or no centroids.
+void nearest_centroids(const linalg::Matrix& points, const linalg::Matrix& centroids,
+                       std::span<std::size_t> assignment, std::span<double> dist2,
+                       util::ThreadPool* pool = nullptr);
+
+namespace detail {
+
+/// The scan's variants, callable directly so tests check each one the CPU
+/// runs. The AVX2 one throws std::invalid_argument unless
+/// linalg::detail::avx2_available().
+using NearestCentroidsFn = void(const linalg::Matrix& points,
+                                const linalg::Matrix& centroids,
+                                std::span<std::size_t> assignment,
+                                std::span<double> dist2, util::ThreadPool* pool);
+NearestCentroidsFn nearest_centroids_baseline;
+NearestCentroidsFn nearest_centroids_avx2;
+
+}  // namespace detail
 
 }  // namespace flare::ml

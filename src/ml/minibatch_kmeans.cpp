@@ -110,17 +110,17 @@ KMeansResult minibatch_kmeans(const linalg::Matrix& data,
     return kmeans(data, params.kmeans, pool);
   }
 
-  // Exact weighted solve on the coreset: restarts/seeding/pruning inherited.
+  // Exact weighted solve on the coreset: restarts and seeding inherited.
   KMeansParams coreset_solve = params.kmeans;
   coreset_solve.weights = coreset.weights;
   coreset_solve.initial_centroids = linalg::Matrix();  // coreset seeds itself
   const KMeansResult sketch = kmeans(coreset.points, coreset_solve, pool);
 
-  // Full-data refinement through the exact solver (its pruning bounds drop
-  // to one per point once n·k outgrows their 1 MiB budget, so memory stays
-  // O(n) at any scale): warm-start from
-  // the coreset centroids, few iterations, single restart (a fresh k-means++
-  // restart here would cost exactly the full-data solve we are avoiding).
+  // Full-data refinement through the exact solver (its scan keeps no
+  // per-point state beyond the assignment, so memory stays O(n) at any
+  // scale): warm-start from the coreset centroids, few iterations, single
+  // restart (a fresh k-means++ restart here would cost exactly the
+  // full-data solve we are avoiding).
   KMeansParams refine = params.kmeans;
   refine.initial_centroids = sketch.centroids;
   refine.restarts = 1;

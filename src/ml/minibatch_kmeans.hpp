@@ -11,7 +11,7 @@
 //      One O(n·d) pass; the coreset is an unbiased estimator of the full
 //      weighted SSE objective for ANY candidate centroid set.
 //   2. Run the existing exact weighted solver on the m-point coreset
-//      (restarts, k-means++, pruning — all inherited), m ≪ n.
+//      (restarts, k-means++ — all inherited), m ≪ n.
 //   3. *Refinement*: a few full-data Lloyd iterations via the same exact
 //      solver, warm-started from the coreset centroids, so the final
 //      centroids/assignment are anchored to the real population.
@@ -50,7 +50,7 @@ struct Coreset {
                                     const std::vector<double>& point_weights = {});
 
 struct MiniBatchKMeansParams {
-  /// Solver parameters for the coreset solve (k, restarts, seeding, pruning)
+  /// Solver parameters for the coreset solve (k, restarts, seeding)
   /// and the refinement pass (which forces restarts = 1 + warm start).
   KMeansParams kmeans;
   CoresetParams coreset;

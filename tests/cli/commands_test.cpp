@@ -106,6 +106,52 @@ TEST_F(CliWorkflowTest, EvaluateRefusesNonFiniteWeights) {
   }
 }
 
+// A non-finite metric cell is a fault (exit 5) whichever storage analyzes
+// it: the out-of-core pass must not fold a NaN column into "constant" and
+// exit 0. The streamed error names the store row and column.
+TEST_F(CliWorkflowTest, AnalyzeFaultsOnNonFiniteCellsInRamAndMmap) {
+  ASSERT_EQ(run({"simulate", "--out", scenarios_.c_str(), "--scenarios", "60"}),
+            0);
+  ASSERT_EQ(run({"profile", "--scenarios", scenarios_.c_str(), "--out",
+                 metrics_.c_str(), "--samples", "1"}),
+            0);
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(metrics_);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  ASSERT_GT(lines.size(), 7u);
+  // Fields 0-2 are id, key and weight: metric column m is field m + 3.
+  const auto write_with_nan = [&](bool whole_column) {
+    std::ofstream out(metrics_);
+    out << lines[0] << '\n';
+    for (std::size_t i = 1; i < lines.size(); ++i) {
+      std::vector<std::string> fields = trace::parse_csv_row(lines[i]);
+      if (whole_column) fields[4 + 3] = "nan";
+      if (!whole_column && i == 6) fields[6 + 3] = "nan";
+      trace::write_csv_row(out, fields);
+    }
+  };
+  for (const bool whole_column : {true, false}) {
+    write_with_nan(whole_column);
+    const std::string cell =
+        whole_column ? "non-finite value at row 0, column 4"
+                     : "non-finite value at row 5, column 6";
+    for (const char* storage : {"ram", "mmap"}) {
+      std::string err;
+      EXPECT_EQ(run({"analyze", "--metrics", metrics_.c_str(), "--clusters", "5",
+                     "--storage", storage},
+                    nullptr, &err),
+                5)
+          << storage << (whole_column ? " NaN column" : " NaN cell");
+      if (std::string(storage) == "mmap") {
+        EXPECT_NE(err.find("analyze_out_of_core: " + cell), std::string::npos)
+            << err;
+      }
+    }
+  }
+}
+
 // The same holds for a metric database: `analyze --metrics` refuses a row
 // whose observation weight is NaN, infinite or negative.
 TEST_F(CliWorkflowTest, AnalyzeRefusesNonFiniteOrNegativeWeights) {

@@ -10,10 +10,12 @@
 #include <string>
 #include <string_view>
 
+#include "ml/cluster_quality.hpp"
 #include "stats/descriptive.hpp"
 #include "tests/core/test_env.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
+#include "util/thread_pool.hpp"
 
 namespace flare::core {
 namespace {
@@ -161,6 +163,60 @@ TEST(AnalyzerSweep, AutoKClusteringMatchesAFixedKFit) {
   EXPECT_EQ(a.converged, b.converged);
   EXPECT_EQ(automatic.representatives, fixed.representatives);
   EXPECT_EQ(automatic.cluster_weights, fixed.cluster_weights);
+}
+
+// The sweep seeds each restart once at k_hi and starts every k from a
+// prefix of those picks. Every sweep point, weighted and with restart 0
+// warm-started at the warm centroids' k, must score exactly what a
+// standalone ml::kmeans at that k scores.
+TEST(AnalyzerSweep, EverySweepPointMatchesAStandaloneFit) {
+  AnalyzerConfig config = testing::small_flare_config().analyzer;
+  config.fixed_clusters = std::nullopt;
+  config.compute_quality_curve = true;
+  config.max_clusters = 12;
+  config.weight_clustering_by_observation = true;
+  const AnalysisResult& fitted = testing::fitted_pipeline().analysis();
+  const linalg::Matrix& space = fitted.cluster_space;
+  std::vector<double> weights(space.rows());
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    weights[i] = 0.5 + static_cast<double>((i * 7) % 5);
+  }
+  const linalg::Matrix& warm = fitted.clustering.centroids;
+  ASSERT_GE(warm.rows(), config.min_clusters);
+  ASSERT_LE(warm.rows(), config.max_clusters);
+  util::ThreadPool pool(2);
+  const stages::ClusterOutput out =
+      stages::cluster(space, weights, config, &pool, warm);
+  ASSERT_EQ(out.quality_curve.size(), config.max_clusters - config.min_clusters + 1);
+  const ml::PairwiseDistances distances = ml::pairwise_distances(space);
+  for (const ClusterQualityPoint& point : out.quality_curve) {
+    ml::KMeansParams params = config.kmeans;
+    params.k = point.k;
+    params.weights = weights;
+    params.initial_centroids = warm;
+    const ml::KMeansResult alone = ml::kmeans(space, params);
+    EXPECT_EQ(point.sse, alone.sse) << "k=" << point.k;
+    EXPECT_EQ(point.silhouette,
+              ml::silhouette_score(distances, alone.assignment, point.k))
+        << "k=" << point.k;
+    if (point.k == out.chosen_k) {
+      EXPECT_EQ(out.clustering.assignment, alone.assignment);
+      EXPECT_EQ(out.clustering.point_distances, alone.point_distances);
+      EXPECT_EQ(out.clustering.centroids, alone.centroids);
+    }
+  }
+}
+
+TEST(AnalyzerStages, RepresentativesNameThemselvesOnZeroWeight) {
+  const AnalysisResult& fitted = testing::fitted_pipeline().analysis();
+  const std::vector<double> zeros(fitted.cluster_space.rows(), 0.0);
+  try {
+    (void)stages::representatives(fitted.clustering, fitted.cluster_space,
+                                  fitted.chosen_k, zeros, false);
+    ADD_FAILURE() << "expected an invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "stages::representatives: zero total observation weight");
+  }
 }
 
 TEST(AnalyzerAblation, SkippingRefinementStillWorks) {

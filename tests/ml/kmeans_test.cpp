@@ -13,6 +13,7 @@
 #include "ml/cluster_quality.hpp"
 #include "stats/rng.hpp"
 #include "tests/util/matrix_matchers.hpp"
+#include "tests/util/naive_kmeans.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -288,8 +289,6 @@ TEST(WeightedKMeans, RejectsNonFiniteWeightsByRow) {
   p.weights[3] = 1.0;
   p.weights[7] = std::numeric_limits<double>::quiet_NaN();
   expect_fault(data, p, "non-finite weight at row 7");
-  p.prune = false;
-  expect_fault(data, p, "non-finite weight at row 7");
 }
 
 TEST(KMeans, RejectsNonFiniteDataCellsByRowAndColumn) {
@@ -331,11 +330,13 @@ TEST_P(KMeansPropertySweep, InvariantsAcrossK) {
 INSTANTIATE_TEST_SUITE_P(Ks, KMeansPropertySweep,
                          ::testing::Values(2, 3, 5, 8, 13, 18, 30));
 
-// --- Determinism of the optimised paths (ISSUE: pruning + threading must be
-// --- bit-identical to the original serial naive Lloyd, not merely close).
+// --- Determinism: the tiled scan and threading must reproduce the serial
+// --- naive Lloyd (tests/util/naive_kmeans.hpp) bit for bit, not merely
+// --- closely. The `Pruned` test names date from the bounded assignment
+// --- pass the scan replaced; they check the same outputs.
 
-/// Unstructured random data (no blob structure) — the hardest case for the
-/// triangle-inequality bounds because centroids stay close together.
+/// Unstructured random data (no blob structure): centroids stay close
+/// together, so many points sit near a tie.
 Matrix random_cloud(std::size_t n, std::size_t dims, std::uint64_t seed) {
   stats::Rng rng(seed);
   Matrix m(n, dims);
@@ -350,7 +351,7 @@ void expect_bitwise_equal(const KMeansResult& a, const KMeansResult& b) {
   EXPECT_EQ(a.cluster_sizes, b.cluster_sizes);
   EXPECT_EQ(a.iterations, b.iterations);
   EXPECT_EQ(a.converged, b.converged);
-  // Bitwise, not NEAR: the pruned/parallel paths must reproduce the exact
+  // Bitwise, not NEAR: the tiled/parallel paths must reproduce the exact
   // doubles of the serial naive path.
   EXPECT_EQ(a.sse, b.sse);
   ASSERT_EQ(a.centroids.rows(), b.centroids.rows());
@@ -370,11 +371,8 @@ TEST(KMeansDeterminism, PrunedMatchesNaiveExactlyOnRandomInputs) {
     for (const std::size_t dims : {2u, 7u, 18u}) {
       for (const std::size_t k : {2u, 5u, 12u}) {
         const Matrix data = random_cloud(160, dims, seed);
-        KMeansParams naive = params_with_k(k, seed);
-        naive.prune = false;
-        KMeansParams pruned = params_with_k(k, seed);
-        pruned.prune = true;
-        expect_bitwise_equal(kmeans(data, pruned), kmeans(data, naive));
+        const KMeansParams p = params_with_k(k, seed);
+        expect_bitwise_equal(kmeans(data, p), testing::naive_kmeans(data, p));
       }
     }
   }
@@ -382,15 +380,12 @@ TEST(KMeansDeterminism, PrunedMatchesNaiveExactlyOnRandomInputs) {
 
 TEST(KMeansDeterminism, PrunedMatchesNaiveOnClusteredAndWeightedInputs) {
   const Matrix data = blobs(40, 6, 4.0, 17);
-  KMeansParams naive = params_with_k(6, 17);
-  naive.weights.assign(data.rows(), 1.0);
+  KMeansParams p = params_with_k(6, 17);
+  p.weights.assign(data.rows(), 1.0);
   for (std::size_t i = 0; i < data.rows(); ++i) {
-    naive.weights[i] = 0.5 + static_cast<double>(i % 7);
+    p.weights[i] = 0.5 + static_cast<double>(i % 7);
   }
-  KMeansParams pruned = naive;
-  naive.prune = false;
-  pruned.prune = true;
-  expect_bitwise_equal(kmeans(data, pruned), kmeans(data, naive));
+  expect_bitwise_equal(kmeans(data, p), testing::naive_kmeans(data, p));
 }
 
 /// The paper's clustering shape: ~900 scenarios in a 17-dim whitened space,
@@ -426,39 +421,36 @@ TEST(KMeansDeterminism, PrunedMatchesNaiveAtPaperShape) {
   }
   for (const bool weighted : {false, true}) {
     for (const std::size_t k : {2u, 17u, 18u, 40u}) {
-      KMeansParams naive = params_with_k(k, 918 + k);
-      naive.restarts = 3;
-      if (weighted) naive.weights = weights;
-      KMeansParams pruned = naive;
-      naive.prune = false;
+      KMeansParams p = params_with_k(k, 918 + k);
+      p.restarts = 3;
+      if (weighted) p.weights = weights;
       SCOPED_TRACE(::testing::Message() << "k=" << k << " weighted=" << weighted);
-      expect_bitwise_equal(kmeans(data, pruned), kmeans(data, naive));
+      expect_bitwise_equal(kmeans(data, p), testing::naive_kmeans(data, p));
     }
   }
 }
 
-// The pruned pass keeps one lower bound per (point, centroid) pair while
-// n·k doubles fit a 1 MiB working set (n·k <= 131072), and one per point
-// beyond it. Both sides of the boundary must match the naive scan.
-TEST(KMeansDeterminism, PrunedMatchesNaiveOnBothBoundLayouts) {
-  constexpr std::size_t kK = 32;
-  for (const std::size_t n : {4095u, 4097u}) {  // n·k just under / just over
-    Matrix data = random_cloud(n, 3, 77);
-    for (std::size_t i = 0; i < 40; ++i) data.set_row(n - 1 - i, data.row(i));
-    KMeansParams naive = params_with_k(kK, 77);
-    naive.restarts = 2;
-    naive.weights.assign(n, 1.0);
-    for (std::size_t i = 0; i < n; i += 5) naive.weights[i] = 3.5;
-    KMeansParams pruned = naive;
-    naive.prune = false;
-    SCOPED_TRACE(::testing::Message() << "n=" << n);
-    expect_bitwise_equal(kmeans(data, pruned), kmeans(data, naive));
+// The scan tiles 4 points × 4 centroid lanes: point counts on every n mod 4
+// and k either side of a lane group must match the naive scan, weighted,
+// with duplicate rows.
+TEST(KMeansDeterminism, MatchesNaiveAtTileEdges) {
+  for (const std::size_t n : {1020u, 1021u, 1022u, 1023u}) {
+    for (const std::size_t k : {7u, 9u, 33u}) {
+      Matrix data = random_cloud(n, 3, 77);
+      for (std::size_t i = 0; i < 40; ++i) data.set_row(n - 1 - i, data.row(i));
+      KMeansParams p = params_with_k(k, 77);
+      p.restarts = 2;
+      p.weights.assign(n, 1.0);
+      for (std::size_t i = 0; i < n; i += 5) p.weights[i] = 3.5;
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " k=" << k);
+      expect_bitwise_equal(kmeans(data, p), testing::naive_kmeans(data, p));
+    }
   }
 }
 
 TEST(KMeansDeterminism, PrunedHandlesDuplicatePoints) {
   // Duplicate rows force zero distances and duplicate centroids — the d == 0
-  // tie edge of the pruned scan.
+  // tie edge of the scan.
   Matrix data(30, 3);
   stats::Rng rng(5);
   for (std::size_t i = 0; i < 10; ++i) {
@@ -470,10 +462,8 @@ TEST(KMeansDeterminism, PrunedHandlesDuplicatePoints) {
     }
   }
   for (const std::size_t k : {2u, 4u, 8u}) {
-    KMeansParams naive = params_with_k(k, 3);
-    naive.prune = false;
-    KMeansParams pruned = params_with_k(k, 3);
-    expect_bitwise_equal(kmeans(data, pruned), kmeans(data, naive));
+    const KMeansParams p = params_with_k(k, 3);
+    expect_bitwise_equal(kmeans(data, p), testing::naive_kmeans(data, p));
   }
 }
 
@@ -488,8 +478,7 @@ TEST(KMeansDeterminism, IdenticalForEveryThreadCount) {
 }
 
 TEST(KMeansDeterminism, PointDistancesMatchRecomputation) {
-  // 100 points × k = 4 carries per-centroid bounds; 4100 × 40 is past the
-  // 1 MiB budget and carries one bound per point.
+  // A small fit and a 4100-point one with k = 40 (ten 4-lane groups).
   for (const auto& [per_cluster, k] :
        {std::pair<std::size_t, std::size_t>{25, 4}, {1025, 40}}) {
     const Matrix data = blobs(per_cluster, 4, 5.0, 11);
@@ -550,6 +539,74 @@ TEST(KMeansWarmStart, ValidatesColumnCount) {
   KMeansParams p = params_with_k(3, 29);
   p.initial_centroids = Matrix(3, 5);  // wrong dimensionality
   EXPECT_THROW(kmeans(data, p), std::invalid_argument);
+}
+
+// A k-sweep draws each restart's seeding picks once at its largest k and
+// starts every k from a prefix of them; each fit must be the unseeded
+// kmeans' bit for bit under either seeding policy, weighted or not, on 4
+// threads or none, including the k whose restart 0 takes a warm start.
+TEST(KMeansSeeds, EverySweepPointMatchesAStandaloneFit) {
+  const Matrix data = paper_shaped(918);
+  util::ThreadPool pool(4);
+  for (const auto& [init, weighted] :
+       {std::pair{KMeansInit::kKMeansPlusPlus, false},
+        std::pair{KMeansInit::kKMeansPlusPlus, true},
+        std::pair{KMeansInit::kRandomPoints, true}}) {
+    KMeansParams p = params_with_k(2, 918);
+    p.restarts = 3;
+    p.init = init;
+    if (weighted) {
+      p.weights.resize(data.rows());
+      for (std::size_t i = 0; i < data.rows(); ++i) {
+        p.weights[i] = 0.25 + static_cast<double>((i * 31) % 11);
+      }
+    }
+    KMeansParams warm_fit = p;
+    warm_fit.k = 7;
+    warm_fit.seed = 5;
+    p.initial_centroids = kmeans(data, warm_fit).centroids;
+    const KMeansSeeds seeds = kmeans_seeds(data, p, 12, &pool);
+    for (std::size_t k = 2; k <= 12; ++k) {
+      KMeansParams at_k = p;
+      at_k.k = k;
+      SCOPED_TRACE(::testing::Message() << "k=" << k << " weighted=" << weighted
+                                        << " random init=" << (init == KMeansInit::kRandomPoints));
+      const KMeansResult alone = kmeans(data, at_k);
+      expect_bitwise_equal(kmeans(data, at_k, seeds), alone);
+      expect_bitwise_equal(kmeans(data, at_k, seeds, &pool), alone);
+    }
+  }
+}
+
+TEST(KMeansSeeds, ShorterDrawsArePrefixes) {
+  const Matrix data = random_cloud(90, 4, 8);
+  KMeansParams p = params_with_k(3, 8);
+  p.restarts = 4;
+  const KMeansSeeds full = kmeans_seeds(data, p, 20);
+  const KMeansSeeds part = kmeans_seeds(data, p, 6);
+  util::ThreadPool pool(3);
+  EXPECT_EQ(kmeans_seeds(data, p, 20, &pool), full);
+  ASSERT_EQ(full.size(), 4u);
+  for (std::size_t r = 0; r < full.size(); ++r) {
+    ASSERT_EQ(full[r].size(), 20u);
+    EXPECT_EQ(part[r], std::vector<std::size_t>(full[r].begin(), full[r].begin() + 6));
+  }
+}
+
+TEST(KMeansSeeds, ValidatesArguments) {
+  const Matrix data = random_cloud(10, 2, 9);
+  KMeansParams p = params_with_k(3, 9);
+  p.restarts = 2;
+  EXPECT_THROW((void)kmeans_seeds(data, p, 0), std::invalid_argument);
+  EXPECT_THROW((void)kmeans_seeds(data, p, 11), std::invalid_argument);
+  KMeansSeeds seeds = kmeans_seeds(data, p, 3);
+  p.k = 4;  // more than the 3 picks drawn
+  EXPECT_THROW((void)kmeans(data, p, seeds), std::invalid_argument);
+  p.k = 3;
+  seeds[1][2] = 10;  // not a row
+  EXPECT_THROW((void)kmeans(data, p, seeds), std::invalid_argument);
+  seeds.pop_back();  // one restart short
+  EXPECT_THROW((void)kmeans(data, p, seeds), std::invalid_argument);
 }
 
 TEST(KMeansDeterminism, NearestMemberUsesCachedDistances) {
